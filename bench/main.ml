@@ -451,10 +451,18 @@ let micro () =
   let enc = Encoding.csr () in
   let st = Storage.pack enc coo in
   let machine = Machine.gracemont_scaled () in
+  (* The ingest row reads the same matrix back from a file. *)
+  let mtx = Filename.temp_file "asap_micro" ".mtx" in
+  Asap_tensor.Matrix_market.write mtx (Coo.sorted_dedup coo);
   let mk name f = Test.make ~name (Staged.stage f) in
+  let pack_row name enc = mk name (fun () -> ignore (Storage.pack enc coo)) in
   let tests =
     Test.make_grouped ~name:"asap"
-      [ mk "t2-pack-csr" (fun () -> ignore (Storage.pack enc coo));
+      [ pack_row "t2-pack-csr" enc;
+        pack_row "t2-pack-dcsr" (Encoding.dcsr ());
+        pack_row "t2-pack-bsr" (Encoding.bsr ~bh:2 ~bw:2 ());
+        mk "t2-mtx-read" (fun () ->
+            ignore (Asap_tensor.Matrix_market.read mtx));
         mk "f3-sparsify-spmv" (fun () ->
             ignore (Pipeline.compile (Kernel.spmv ~enc ()) Pipeline.Baseline));
         mk "f5-asap-compile" (fun () ->
@@ -477,6 +485,7 @@ let micro () =
     Benchmark.cfg ~limit:200 ~quota:(Time.second 0.5) ~kde:None ()
   in
   let raw = Benchmark.all cfg Instance.[ monotonic_clock ] tests in
+  Sys.remove mtx;
   let ols =
     Analyze.ols ~bootstrap:0 ~r_square:false ~predictors:[| Measure.run |]
   in

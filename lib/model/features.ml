@@ -116,9 +116,9 @@ let extract ?(profile_fraction = Tuning.default_profile_fraction)
      what a packed non-unique level streams. *)
   let dev_sum = ref 0. in
   let scale = float_of_int cols /. float_of_int (max 1 rows) in
+  let ci = coo.Coo.crd.(0) and cj = coo.Coo.crd.(1) in
   for k = 0 to nnz - 1 do
-    let c = coo.Coo.coords.(k) in
-    let i = c.(0) and j = c.(1) in
+    let i = ci.(k) and j = cj.(k) in
     counts.(i) <- counts.(i) + 1;
     dev_sum :=
       !dev_sum +. Float.abs (float_of_int j -. (float_of_int i *. scale));
@@ -175,13 +175,16 @@ let extract ?(profile_fraction = Tuning.default_profile_fraction)
     match enc.Encoding.block with
     | None -> 0
     | Some (bh, bw) ->
-      let seen = Hashtbl.create (max 16 nnz) in
-      for k = 0 to nnz - 1 do
-        let c = coo.Coo.coords.(k) in
-        let key = ((c.(0) / bh) * ((cols / bw) + 1)) + (c.(1) / bw) in
-        if not (Hashtbl.mem seen key) then Hashtbl.add seen key ()
+      (* Distinct (i/bh, j/bw) pairs: adjacent in their radix order. *)
+      let bi = Array.map (fun i -> i / bh) ci
+      and bj = Array.map (fun j -> j / bw) cj in
+      let order = Coo.radix_order ~n:nnz [| bi; bj |] in
+      let blocks = ref (min 1 nnz) in
+      for q = 1 to nnz - 1 do
+        let a = order.(q - 1) and b = order.(q) in
+        if bi.(a) <> bi.(b) || bj.(a) <> bj.(b) then incr blocks
       done;
-      Hashtbl.length seen
+      !blocks
   in
   let stream_bytes =
     match enc.Encoding.block with

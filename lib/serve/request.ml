@@ -458,13 +458,14 @@ module Update = struct
         Hashtbl.replace value (i, j) v)
       u.u_deltas;
     let n = Coo.nnz coo in
+    let ci = coo.Coo.crd.(0) and cj = coo.Coo.crd.(1) in
     let vals = Array.copy coo.Coo.vals in
     (* Set an existing coordinate's first occurrence to the new value and
        zero the rest: duplicate base entries sum under sorted_dedup, so
        the stored total is exactly the delta's value. *)
     let hit : (int * int, unit) Hashtbl.t = Hashtbl.create 16 in
     for k = 0 to n - 1 do
-      let key = (coo.Coo.coords.(k).(0), coo.Coo.coords.(k).(1)) in
+      let key = (ci.(k), cj.(k)) in
       match Hashtbl.find_opt value key with
       | None -> ()
       | Some v ->
@@ -482,18 +483,13 @@ module Update = struct
           fresh := key :: !fresh
         end)
       u.u_deltas;
-    let fresh = List.rev !fresh in
-    let coords =
-      Array.append
-        (Array.map Array.copy coo.Coo.coords)
-        (Array.of_list (List.map (fun (i, j) -> [| i; j |]) fresh))
+    let fresh = Array.of_list (List.rev !fresh) in
+    let crd =
+      [| Array.append ci (Array.map fst fresh);
+         Array.append cj (Array.map snd fresh) |]
     in
-    let vals =
-      Array.append vals
-        (Array.of_list
-           (List.map (fun key -> Hashtbl.find value key) fresh))
-    in
-    Coo.create ~dims:(Array.copy coo.Coo.dims) ~coords ~vals
+    let vals = Array.append vals (Array.map (Hashtbl.find value) fresh) in
+    Coo.create ~dims:(Array.copy coo.Coo.dims) ~crd ~vals
 end
 
 (** A line of a mixed request/update stream. *)

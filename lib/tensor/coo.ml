@@ -1,146 +1,145 @@
 (* Coordinate-list (COO) exchange form.
 
-   The unsorted triple/tuple list every other representation is built from:
+   The unsorted entry list every other representation is built from:
    generators and Matrix Market readers produce it, [Storage.pack] consumes
-   it. Coordinates are stored as an [nnz][rank] array in dimension order. *)
+   it. Coordinates are structure-of-arrays: [crd.(d)] is one flat buffer of
+   nnz dimension-[d] coordinates, so sorting and packing stream plain int
+   arrays instead of one boxed tuple per non-zero. *)
 
 type t = {
-  dims : int array;            (* tensor shape, one extent per dimension *)
-  coords : int array array;    (* coords.(k) is the rank-length tuple of nnz k *)
+  dims : int array;      (* tensor shape, one extent per dimension *)
+  crd : int array array; (* crd.(d).(k): dimension-d coordinate of nnz k *)
   vals : float array;
 }
 
 let rank t = Array.length t.dims
 let nnz t = Array.length t.vals
 
-let create ~dims ~coords ~vals =
-  if Array.length coords <> Array.length vals then
-    invalid_arg "Coo.create: coords/vals length mismatch";
-  Array.iter
-    (fun c ->
-      if Array.length c <> Array.length dims then
-        invalid_arg "Coo.create: coordinate rank mismatch";
-      Array.iteri
-        (fun d x ->
+let create ~dims ~crd ~vals =
+  let n = Array.length vals in
+  if Array.length crd <> Array.length dims then
+    invalid_arg "Coo.create: coordinate rank mismatch";
+  Array.iteri
+    (fun d c ->
+      if Array.length c <> n then
+        invalid_arg "Coo.create: crd/vals length mismatch";
+      Array.iter
+        (fun x ->
           if x < 0 || x >= dims.(d) then
             invalid_arg
               (Printf.sprintf "Coo.create: coordinate %d out of bound %d" x
                  dims.(d)))
         c)
-    coords;
-  { dims; coords; vals }
+    crd;
+  { dims; crd; vals }
 
 (** [of_triples ~rows ~cols triples] builds a matrix from (i, j, v) triples. *)
 let of_triples ~rows ~cols triples =
   let n = List.length triples in
-  let coords = Array.make n [||] and vals = Array.make n 0. in
+  let ci = Array.make n 0 and cj = Array.make n 0 and vals = Array.make n 0. in
   List.iteri
     (fun k (i, j, v) ->
-      coords.(k) <- [| i; j |];
+      ci.(k) <- i;
+      cj.(k) <- j;
       vals.(k) <- v)
     triples;
-  create ~dims:[| rows; cols |] ~coords ~vals
+  create ~dims:[| rows; cols |] ~crd:[| ci; cj |] ~vals
 
-(** Lexicographic comparison of coordinates under a permutation: position
-    [l] of the sort key is dimension [perm.(l)]. *)
-let compare_perm perm a b =
-  let rec go l =
-    if l = Array.length perm then 0
-    else
-      let c = compare a.(perm.(l)) b.(perm.(l)) in
-      if c <> 0 then c else go (l + 1)
-  in
+(* Bit width of a non-negative int: the smallest b with x < 2^b. *)
+let bit_width x =
+  let rec go b = if x lsr b = 0 then b else go (b + 1) in
   go 0
 
-(* Number of bits needed to address [n] distinct indices. *)
-let index_bits n =
-  let rec go b = if 1 lsl b >= n then b else go (b + 1) in
-  go 0
-
-(* Whether every (permuted lexicographic key, element index) pair fits in
-   one tagged int: the key range is the product of the permuted extents,
-   shifted left by the index width. Returns the key range, or -1 on
-   overflow. *)
-let packed_key_range dims perm ~idx_bits =
-  let limit = max_int asr idx_bits in
-  let rec go l range =
-    if l = Array.length perm then range
-    else
-      let d = dims.(perm.(l)) in
-      if d > 0 && range > limit / d then -1 else go (l + 1) (range * d)
-  in
-  go 0 1
+(** [radix_order ~n keys] is the stable sort permutation of [0 .. n-1] by
+    the key columns, most significant first. LSD radix: the columns are
+    taken last to first, each in as few counting passes as its largest
+    value needs. Every pass is stable and the start order is the index
+    order, so equal keys end in index order. *)
+let radix_order ~n keys =
+  let order = ref (Array.init n Fun.id) and spare = ref (Array.make n 0) in
+  let digits = Array.make n 0 in
+  (* About log2 n bits per digit, so the count array never outgrows the
+     entries it sorts; at most 16 bits (64k buckets). *)
+  let digit = max 1 (min 16 (bit_width n)) in
+  let count = Array.make ((1 lsl digit) + 1) 0 in
+  for c = Array.length keys - 1 downto 0 do
+    let col = keys.(c) in
+    let top = ref 0 in
+    for k = 0 to n - 1 do top := !top lor col.(k) done;
+    let width = bit_width !top in
+    let passes = (width + digit - 1) / digit in
+    let w = if passes = 0 then 0 else (width + passes - 1) / passes in
+    let mask = (1 lsl w) - 1 in
+    for p = 0 to passes - 1 do
+      let shift = p * w and o = !order and o' = !spare in
+      Array.fill count 0 (mask + 2) 0;
+      for k = 0 to n - 1 do
+        let d = (col.(o.(k)) lsr shift) land mask in
+        digits.(k) <- d;
+        count.(d + 1) <- count.(d + 1) + 1
+      done;
+      (* A digit every entry shares leaves the order as it is. *)
+      if count.(digits.(0) + 1) < n then begin
+        for d = 1 to mask do count.(d) <- count.(d) + count.(d - 1) done;
+        for k = 0 to n - 1 do
+          let d = digits.(k) in
+          let dst = count.(d) in
+          count.(d) <- dst + 1;
+          o'.(dst) <- o.(k)
+        done;
+        order := o';
+        spare := o
+      end
+    done
+  done;
+  !order
 
 (** [sorted_dedup ?perm t] returns a copy of [t] sorted lexicographically by
     the (optionally permuted) dimension order, with duplicate coordinates
-    summed — the canonical form sparsification's [sorted = true] expects. *)
+    summed — the canonical form sparsification's [sorted = true] expects.
+    Duplicates are adjacent in index order and summed from [0.] in that
+    order. *)
 let sorted_dedup ?perm t =
   let perm =
     match perm with Some p -> p | None -> Array.init (rank t) Fun.id
   in
   let n = nnz t in
-  let r = Array.length perm in
-  let idx_bits = index_bits n in
-  if packed_key_range t.dims perm ~idx_bits >= 0 then begin
-    (* Fast path: encode each element as key * 2^idx_bits + index and sort
-       plain ints. Sorting these is exactly the reference order below —
-       key-major, original-index-minor — so the output (including the
-       float summation order over duplicates) is bit-identical. *)
-    let keys = Array.make n 0 in
-    for k = 0 to n - 1 do
-      let c = t.coords.(k) in
-      let key = ref 0 in
-      for l = 0 to r - 1 do
-        key := (!key * t.dims.(perm.(l))) + c.(perm.(l))
-      done;
-      keys.(k) <- (!key lsl idx_bits) lor k
+  let order = radix_order ~n (Array.map (fun d -> t.crd.(d)) perm) in
+  (* Gather every dimension into sorted order, then compact each run of
+     equal keys in place to its first entry; the write slot [m] never
+     passes the run being read. *)
+  let gather c =
+    let a = Array.make n 0 in
+    for q = 0 to n - 1 do a.(q) <- c.(order.(q)) done;
+    a
+  in
+  let crd = Array.map gather t.crd in
+  let keys = Array.map (fun d -> crd.(d)) perm in
+  let r = Array.length keys and dims = Array.length crd in
+  let same a b =
+    let l = ref 0 in
+    while !l < r && keys.(!l).(a) = keys.(!l).(b) do incr l done;
+    !l = r
+  in
+  let vals = Array.make n 0. in
+  let m = ref 0 and q = ref 0 in
+  while !q < n do
+    let first = !q in
+    let v = ref 0. in
+    while !q < n && same first !q do
+      v := !v +. t.vals.(order.(!q));
+      incr q
     done;
-    Array.sort (fun (a : int) b -> compare a b) keys;
-    let mask = (1 lsl idx_bits) - 1 in
-    let out_c = Array.make n [||] and out_v = Array.make n 0. in
-    let m = ref 0 and k = ref 0 in
-    while !k < n do
-      let key = keys.(!k) asr idx_bits in
-      let first = keys.(!k) land mask in
-      let v = ref 0. in
-      while !k < n && keys.(!k) asr idx_bits = key do
-        v := !v +. t.vals.(keys.(!k) land mask);
-        incr k
-      done;
-      out_c.(!m) <- t.coords.(first);
-      out_v.(!m) <- !v;
-      incr m
-    done;
+    for d = 0 to dims - 1 do crd.(d).(!m) <- crd.(d).(first) done;
+    vals.(!m) <- !v;
+    incr m
+  done;
+  let m = !m in
+  if m = n then { dims = Array.copy t.dims; crd; vals }
+  else
     { dims = Array.copy t.dims;
-      coords = Array.sub out_c 0 !m;
-      vals = Array.sub out_v 0 !m }
-  end
-  else begin
-    (* Reference path: comparator over the coordinate tuples, index as the
-       tie-break so duplicate groups keep insertion order. *)
-    let order = Array.init n Fun.id in
-    Array.sort
-      (fun a b ->
-        let c = compare_perm perm t.coords.(a) t.coords.(b) in
-        if c <> 0 then c else compare a b)
-      order;
-    let out_c = ref [] and out_v = ref [] in
-    let m = ref 0 and k = ref 0 in
-    while !k < n do
-      let c = t.coords.(order.(!k)) in
-      let v = ref 0. in
-      while !k < n && compare_perm perm t.coords.(order.(!k)) c = 0 do
-        v := !v +. t.vals.(order.(!k));
-        incr k
-      done;
-      out_c := c :: !out_c;
-      out_v := !v :: !out_v;
-      incr m
-    done;
-    { dims = Array.copy t.dims;
-      coords = Array.of_list (List.rev !out_c);
-      vals = Array.of_list (List.rev !out_v) }
-  end
+      crd = Array.map (fun c -> Array.sub c 0 m) crd;
+      vals = Array.sub vals 0 m }
 
 (** [to_dense t] materialises a row-major dense array. *)
 let to_dense t =
@@ -150,12 +149,11 @@ let to_dense t =
   for l = rank t - 2 downto 0 do
     strides.(l) <- strides.(l + 1) * t.dims.(l + 1)
   done;
-  Array.iteri
-    (fun k c ->
-      let off = ref 0 in
-      Array.iteri (fun l x -> off := !off + (x * strides.(l))) c;
-      d.(!off) <- d.(!off) +. t.vals.(k))
-    t.coords;
+  for k = 0 to nnz t - 1 do
+    let off = ref 0 in
+    Array.iteri (fun l c -> off := !off + (c.(k) * strides.(l))) t.crd;
+    d.(!off) <- d.(!off) +. t.vals.(k)
+  done;
   d
 
 (** Structural statistics used by workload selection (paper §4.2). *)
@@ -173,7 +171,7 @@ let matrix_stats ?(index_bytes = 4) t =
   if rank t <> 2 then invalid_arg "Coo.matrix_stats: not a matrix";
   let rows = t.dims.(0) and cols = t.dims.(1) in
   let per_row = Array.make rows 0 in
-  Array.iter (fun c -> per_row.(c.(0)) <- per_row.(c.(0)) + 1) t.coords;
+  Array.iter (fun i -> per_row.(i) <- per_row.(i) + 1) t.crd.(0);
   let mn = Array.fold_left min max_int per_row
   and mx = Array.fold_left max 0 per_row in
   let n = nnz t in

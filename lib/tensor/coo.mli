@@ -1,13 +1,16 @@
 (** Coordinate-list (COO) exchange form.
 
-    The unsorted tuple list every other representation is built from:
+    The unsorted entry list every other representation is built from:
     generators and Matrix Market readers produce it, {!Storage.pack}
-    consumes it. *)
+    consumes it. The layout is structure-of-arrays: one flat coordinate
+    buffer per dimension, as in the pos/crd/vals buffers of the sparse
+    tensor dialect. *)
 
 type t = {
   dims : int array;          (** tensor shape, one extent per dimension *)
-  coords : int array array;  (** [coords.(k)] is the coordinate tuple of
-                                 non-zero [k], in dimension order *)
+  crd : int array array;     (** [crd.(d).(k)] is the dimension-[d]
+                                 coordinate of non-zero [k]; every
+                                 [crd.(d)] has length [nnz] *)
   vals : float array;        (** value of each stored entry *)
 }
 
@@ -17,22 +20,28 @@ val rank : t -> int
 (** [nnz t] is the number of stored entries (duplicates included). *)
 val nnz : t -> int
 
-(** [create ~dims ~coords ~vals] validates shapes and bounds.
-    @raise Invalid_argument on rank or bound violations. *)
-val create : dims:int array -> coords:int array array -> vals:float array -> t
+(** [create ~dims ~crd ~vals] validates shapes and bounds.
+    @raise Invalid_argument on rank, length or bound violations. *)
+val create : dims:int array -> crd:int array array -> vals:float array -> t
 
 (** [of_triples ~rows ~cols triples] builds a matrix from [(i, j, v)]
     triples. *)
 val of_triples : rows:int -> cols:int -> (int * int * float) list -> t
 
-(** [compare_perm perm a b] compares coordinate tuples lexicographically
-    under a dimension permutation: sort-key position [l] is dimension
-    [perm.(l)]. *)
-val compare_perm : int array -> int array -> int array -> int
+(** [radix_order ~n keys] is the permutation of [0 .. n-1] that sorts
+    entries by the key columns [keys.(0)], [keys.(1)], ... (most
+    significant first), ties broken by entry index. Every column holds
+    [n] non-negative ints. It is a stable LSD radix sort, one counting
+    pass per digit, last column first; the digit width grows with [n]
+    and each column takes only as many digits as its largest value
+    needs. *)
+val radix_order : n:int -> int array array -> int array
 
 (** [sorted_dedup ?perm t] is a copy of [t] sorted lexicographically by the
     (optionally permuted) dimension order with duplicate coordinates summed
-    — the canonical form sparsification's [sorted = true] expects. *)
+    — the canonical form sparsification's [sorted = true] expects. Sort
+    position [l] is dimension [perm.(l)]; entries with equal keys stay in
+    index order, which is also the order their values are summed in. *)
 val sorted_dedup : ?perm:int array -> t -> t
 
 (** [to_dense t] materialises a row-major dense array of the full shape. *)

@@ -5,19 +5,22 @@
     general/symmetric/skew-symmetric. Pattern entries get value 1.0;
     symmetric storage is expanded to the full matrix on read. *)
 
+(** Every malformed input raises this, with a message that starts
+    ["line N: "] (1-based). *)
 exception Parse_error of string
 
-(** [of_lines lines] parses the line sequence of a .mtx file. Accepts
-    CRLF line endings, leading/trailing whitespace, and blank or
-    comment lines anywhere after the header; rejects duplicate
+(** [of_string s] parses in-memory .mtx text. Accepts CRLF line endings,
+    leading/trailing whitespace, and blank or comment lines anywhere
+    after the header; rejects bad tokens, negative sizes, out-of-bound
+    entries, entry counts that differ from the size line and duplicate
     coordinates (including duplicates produced by symmetry expansion).
+    Entries keep file order.
     @raise Parse_error on malformed input. *)
-val of_lines : string Seq.t -> Coo.t
-
-(** [of_string s] parses in-memory .mtx text. *)
 val of_string : string -> Coo.t
 
-(** [read path] parses the file at [path]. *)
+(** [read path] reads the file at [path] whole and parses it.
+    @raise Parse_error on malformed input
+    @raise Sys_error if the file cannot be read. *)
 val read : string -> Coo.t
 
 (** [to_string coo] renders general real coordinate format.

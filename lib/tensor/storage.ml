@@ -23,96 +23,81 @@ let nnz_of t = Array.length t.vals
 
 (* [pack_plain enc coo] sorts, deduplicates and serialises [coo].
 
-   The construction sweeps levels top-down over the element range,
-   maintaining the current segmentation: one (start, end) run of elements
-   per node of the previous level. *)
+   The construction sweeps levels top-down over the sorted elements,
+   keeping one int per element: [node.(k)], the index of the level-l node
+   element k lies under. Sorted order makes node ids non-decreasing, so
+   each level is one pass: dense children are [node * size + v],
+   compressed-unique children are numbered as new (parent, v) pairs
+   appear, non-unique and singleton children are the element itself.
+   [pos] is the running child count per parent. [sorted] is private to
+   this function, so its coordinate buffers become crd buffers as they
+   are. *)
 let pack_plain (enc : Encoding.t) (coo : Coo.t) : t =
   let sorted = Coo.sorted_dedup ~perm:enc.dim_to_lvl coo in
   let n = Coo.nnz sorted in
   let rank = Encoding.rank enc in
-  let key l k = sorted.coords.(k).(enc.dim_to_lvl.(l)) in
-  let segs = ref [| (0, n) |] in
+  let node = Array.make n 0 in
+  let nodes = ref 1 in
   let lvls = Array.make rank (Ldense { lsize = 0 }) in
+  (* [pos] from per-parent child counts: pos.(p + 1) counts the children
+     of parent p, then the prefix sum. *)
+  let prefix pos =
+    for p = 1 to Array.length pos - 1 do pos.(p) <- pos.(p) + pos.(p - 1) done
+  in
   for l = 0 to rank - 1 do
-    let parents = !segs in
-    let np = Array.length parents in
-    (match enc.levels.(l) with
-     | Encoding.Dense ->
-       let lsize = coo.dims.(enc.dim_to_lvl.(l)) in
-       let out = Array.make (np * lsize) (0, 0) in
-       Array.iteri
-         (fun p (s, e) ->
-           let i = ref s in
-           for v = 0 to lsize - 1 do
-             let s' = !i in
-             while !i < e && key l !i = v do incr i done;
-             out.((p * lsize) + v) <- (s', !i)
-           done;
-           assert (!i = e))
-         parents;
-       lvls.(l) <- Ldense { lsize };
-       segs := out
-     | Encoding.Compressed { unique = true } ->
-       (* At most one node per element: build into n-sized scratch arrays
-          and trim, rather than consing per node. *)
-       let pos = Array.make (np + 1) 0 in
-       let crd = Array.make n 0 in
-       let out = Array.make n (0, 0) in
-       let count = ref 0 in
-       Array.iteri
-         (fun p (s, e) ->
-           let i = ref s in
-           while !i < e do
-             let v = key l !i in
-             let s' = !i in
-             while !i < e && key l !i = v do incr i done;
-             crd.(!count) <- v;
-             out.(!count) <- (s', !i);
-             incr count
-           done;
-           pos.(p + 1) <- !count)
-         parents;
-       lvls.(l) <-
-         Lcompressed { pos; crd = Array.sub crd 0 !count; unique = true };
-       segs := Array.sub out 0 !count
-     | Encoding.Compressed { unique = false } ->
-       (* One crd entry and one child per element: duplicate parent
-          coordinates are retained, as in COO's top level. *)
-       let pos = Array.make (np + 1) 0 in
-       let crd = Array.make n 0 in
-       let out = Array.make n (0, 0) in
-       Array.iteri
-         (fun p (s, e) ->
-           for i = s to e - 1 do
-             crd.(i) <- key l i;
-             out.(i) <- (i, i + 1)
-           done;
-           pos.(p + 1) <- e)
-         parents;
-       lvls.(l) <- Lcompressed { pos; crd; unique = false };
-       segs := out
-     | Encoding.Singleton ->
-       let crd = Array.make n 0 in
-       let out = Array.make n (0, 0) in
-       Array.iteri
-         (fun _ (s, e) ->
-           for i = s to e - 1 do
-             crd.(i) <- key l i;
-             out.(i) <- (i, i + 1)
-           done)
-         parents;
-       lvls.(l) <- Lsingleton { crd };
-       segs := out)
+    let key = sorted.crd.(enc.dim_to_lvl.(l)) in
+    let np = !nodes in
+    match enc.levels.(l) with
+    | Encoding.Dense ->
+      let lsize = coo.dims.(enc.dim_to_lvl.(l)) in
+      for k = 0 to n - 1 do
+        node.(k) <- (node.(k) * lsize) + key.(k)
+      done;
+      lvls.(l) <- Ldense { lsize };
+      nodes := np * lsize
+    | Encoding.Compressed { unique = true } ->
+      (* At most one node per element: build into an n-sized crd and
+         trim. *)
+      let pos = Array.make (np + 1) 0 in
+      let crd = Array.make n 0 in
+      let count = ref 0 and last = ref (-1) in
+      for k = 0 to n - 1 do
+        let p = node.(k) and v = key.(k) in
+        if p <> !last || v <> crd.(!count - 1) then begin
+          crd.(!count) <- v;
+          pos.(p + 1) <- pos.(p + 1) + 1;
+          incr count;
+          last := p
+        end;
+        node.(k) <- !count - 1
+      done;
+      prefix pos;
+      lvls.(l) <-
+        Lcompressed
+          { pos; unique = true;
+            crd = (if !count = n then crd else Array.sub crd 0 !count) };
+      nodes := !count
+    | Encoding.Compressed { unique = false } ->
+      (* One crd entry and one child per element: duplicate parent
+         coordinates are retained, as in COO's top level. *)
+      let pos = Array.make (np + 1) 0 in
+      for k = 0 to n - 1 do
+        pos.(node.(k) + 1) <- pos.(node.(k) + 1) + 1;
+        node.(k) <- k
+      done;
+      prefix pos;
+      lvls.(l) <- Lcompressed { pos; crd = key; unique = false };
+      nodes := n
+    | Encoding.Singleton ->
+      for k = 0 to n - 1 do node.(k) <- k done;
+      lvls.(l) <- Lsingleton { crd = key };
+      nodes := n
   done;
-  (* Leaf values: one per leaf node; dense leaf levels imply explicit
-     zeros for absent coordinates. *)
-  let leaves = !segs in
-  let vals = Array.make (Array.length leaves) 0. in
-  Array.iteri
-    (fun node (s, e) ->
-      assert (e - s <= 1);
-      if e > s then vals.(node) <- sorted.vals.(s))
-    leaves;
+  (* Leaf values: one per leaf node (dedup leaves at most one element
+     per leaf); dense leaf levels imply explicit zeros for absent
+     coordinates. *)
+  let vals = Array.make !nodes 0. in
+  for k = 0 to n - 1 do vals.(node.(k)) <- sorted.vals.(k) done;
   { enc; dims = Array.copy coo.dims; lvls; vals }
 
 (* [pack_blocked enc ~bh ~bw coo] serialises a rank-2 tensor into block
@@ -121,40 +106,43 @@ let pack_plain (enc : Encoding.t) (coo : Coo.t) : t =
    stored block expands to bh*bw row-major values with explicit zeros
    for the absent coordinates. Edge blocks of non-divisible dimensions
    are zero-padded here and clamped by consumers ({!iter}, the emitter's
-   blocked micro-loops). *)
+   blocked micro-loops). Block ids follow the radix order of the
+   elements by (i/bh, j/bw). *)
 let pack_blocked (enc : Encoding.t) ~bh ~bw (coo : Coo.t) : t =
   let sorted = Coo.sorted_dedup coo in
   let n = Coo.nnz sorted in
+  let ci = sorted.crd.(0) and cj = sorted.crd.(1) in
+  let bi = Array.map (fun i -> i / bh) ci
+  and bj = Array.map (fun j -> j / bw) cj in
+  let order = Coo.radix_order ~n [| bi; bj |] in
   let nbr = (coo.dims.(0) + bh - 1) / bh in
-  let tbl = Hashtbl.create (max 16 n) in
-  for k = 0 to n - 1 do
-    let key = (sorted.coords.(k).(0) / bh, sorted.coords.(k).(1) / bw) in
-    if not (Hashtbl.mem tbl key) then Hashtbl.add tbl key 0
-  done;
-  let blocks =
-    Hashtbl.fold (fun k _ acc -> k :: acc) tbl []
-    |> List.sort compare |> Array.of_list
-  in
-  Array.iteri (fun idx k -> Hashtbl.replace tbl k idx) blocks;
-  let nb = Array.length blocks in
   let pos = Array.make (nbr + 1) 0 in
-  let crd = Array.make nb 0 in
-  Array.iteri
-    (fun idx (ib, jb) ->
-      crd.(idx) <- jb;
-      pos.(ib + 1) <- pos.(ib + 1) + 1)
-    blocks;
+  let crd = Array.make n 0 in
+  (* Pass 1 in block order numbers the blocks; pass 2 scatters values
+     into their blocks. *)
+  let blk = Array.make n 0 in
+  let nb = ref 0 in
+  for q = 0 to n - 1 do
+    let k = order.(q) in
+    let ib = bi.(k) and jb = bj.(k) in
+    if !nb = 0 || ib <> bi.(order.(q - 1)) || jb <> crd.(!nb - 1) then begin
+      crd.(!nb) <- jb;
+      pos.(ib + 1) <- pos.(ib + 1) + 1;
+      incr nb
+    end;
+    blk.(k) <- !nb - 1
+  done;
   for r = 1 to nbr do pos.(r) <- pos.(r) + pos.(r - 1) done;
-  let be = bh * bw in
+  let nb = !nb and be = bh * bw in
   let vals = Array.make (nb * be) 0. in
   for k = 0 to n - 1 do
-    let i = sorted.coords.(k).(0) and j = sorted.coords.(k).(1) in
-    let idx = Hashtbl.find tbl (i / bh, j / bw) in
-    vals.((idx * be) + ((i mod bh) * bw) + (j mod bw)) <- sorted.vals.(k)
+    vals.((blk.(k) * be) + ((ci.(k) mod bh) * bw) + (cj.(k) mod bw)) <-
+      sorted.vals.(k)
   done;
   { enc; dims = Array.copy coo.dims;
     lvls =
-      [| Ldense { lsize = nbr }; Lcompressed { pos; crd; unique = true } |];
+      [| Ldense { lsize = nbr };
+         Lcompressed { pos; crd = Array.sub crd 0 nb; unique = true } |];
     vals }
 
 let pack (enc : Encoding.t) (coo : Coo.t) : t =
@@ -216,18 +204,25 @@ let iter f (t : t) =
 
 (** [to_coo t] recovers the COO form, dropping explicit zeros. *)
 let to_coo (t : t) : Coo.t =
-  let cs = ref [] and vs = ref [] and n = ref 0 in
+  (* [iter] visits every stored value once, except the edge padding of
+     blocked storage, which [pack] leaves zero: counting the non-zeros
+     sizes the buffers. *)
+  let n = ref 0 in
+  for k = 0 to Array.length t.vals - 1 do
+    if t.vals.(k) <> 0. then incr n
+  done;
+  let crd = Array.map (fun _ -> Array.make !n 0) t.dims in
+  let vals = Array.make !n 0. in
+  let k = ref 0 in
   iter
     (fun c v ->
       if v <> 0. then begin
-        cs := c :: !cs;
-        vs := v :: !vs;
-        incr n
+        Array.iteri (fun d x -> crd.(d).(!k) <- x) c;
+        vals.(!k) <- v;
+        incr k
       end)
     t;
-  { Coo.dims = Array.copy t.dims;
-    coords = Array.of_list (List.rev !cs);
-    vals = Array.of_list (List.rev !vs) }
+  { Coo.dims = Array.copy t.dims; crd; vals }
 
 (** [convert enc t] re-packs [t] under a different encoding. *)
 let convert enc t = pack enc (to_coo t)

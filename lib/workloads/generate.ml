@@ -13,13 +13,14 @@ module Coo = Asap_tensor.Coo
    collisions freely. *)
 let of_rowcols ~rows ~cols entries rng =
   let n = List.length entries in
-  let coords = Array.make n [||] and vals = Array.make n 0. in
+  let ci = Array.make n 0 and cj = Array.make n 0 and vals = Array.make n 0. in
   List.iteri
     (fun k (i, j) ->
-      coords.(k) <- [| i; j |];
+      ci.(k) <- i;
+      cj.(k) <- j;
       vals.(k) <- 0.5 +. Rng.float rng)
     entries;
-  Coo.create ~dims:[| rows; cols |] ~coords ~vals
+  Coo.create ~dims:[| rows; cols |] ~crd:[| ci; cj |] ~vals
 
 (** Uniform random matrix: every non-zero position independent — the worst
     case for locality (GAP-urand style). *)
@@ -162,13 +163,15 @@ let road ~seed ~n ~deg () =
 let tensor3 ~seed ~dims ~nnz () =
   if Array.length dims <> 3 then invalid_arg "Generate.tensor3: need 3 dims";
   let rng = Rng.create seed in
-  let coords = Array.make nnz [||] and vals = Array.make nnz 0. in
+  let crd = Array.init 3 (fun _ -> Array.make nnz 0) in
+  let vals = Array.make nnz 0. in
   for k = 0 to nnz - 1 do
-    coords.(k) <-
-      [| Rng.int rng dims.(0); Rng.int rng dims.(1); Rng.int rng dims.(2) |];
+    (* Last dimension drawn first: the order the generator has always
+       used, so seeds keep their tensors. *)
+    for d = 2 downto 0 do crd.(d).(k) <- Rng.int rng dims.(d) done;
     vals.(k) <- 0.5 +. Rng.float rng
   done;
-  Coo.create ~dims ~coords ~vals
+  Coo.create ~dims ~crd ~vals
 
 (** Heavy-tailed trace matrix (MAWI packet traces): a handful of huge rows
     (backbone hosts) over a sea of tiny ones. *)

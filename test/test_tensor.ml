@@ -33,16 +33,15 @@ let test_coo_sorted_dedup () =
   check "sum" true (d.((2 * 3) + 2) = 3.);
   (* Sorted row-major. *)
   check "sorted" true
-    (s.Coo.coords.(0) = [| 0; 0 |] && s.Coo.coords.(2) = [| 2; 2 |])
+    (s.Coo.crd = [| [| 0; 0; 2 |]; [| 0; 2; 2 |] |])
 
 let test_coo_sorted_dedup_perm () =
   let c = fig2 () in
   let s = Coo.sorted_dedup ~perm:[| 1; 0 |] c in
   (* Column-major order: (0,0), (0,2) ... by column first: (0,0), (2,2)?
      columns: 0 -> (0,0); 2 -> (0,2), (2,2). *)
-  check "first is col 0" true (s.Coo.coords.(0) = [| 0; 0 |]);
-  check "second is (0,2)" true (s.Coo.coords.(1) = [| 0; 2 |]);
-  check "third is (2,2)" true (s.Coo.coords.(2) = [| 2; 2 |])
+  check "(0,0), (0,2), (2,2)" true
+    (s.Coo.crd = [| [| 0; 0; 2 |]; [| 0; 2; 2 |] |])
 
 let test_coo_stats () =
   let st = Coo.matrix_stats (fig2 ()) in
@@ -51,6 +50,205 @@ let test_coo_stats () =
   check_int "max row" 2 st.Coo.s_row_max;
   check_int "min row" 0 st.Coo.s_row_min;
   check "footprint" true (st.Coo.s_footprint_bytes > 0)
+
+(* --- Coo.sorted_dedup against a list-sort oracle --------------------- *)
+
+(* Oracle: a stable list sort by the permuted key, then each run of equal
+   keys summed from [0.] in index order. *)
+let oracle_dedup perm (c : Coo.t) =
+  let key k = Array.map (fun d -> c.Coo.crd.(d).(k)) perm in
+  let sorted =
+    List.stable_sort
+      (fun (a, _) (b, _) -> compare a b)
+      (List.init (Coo.nnz c) (fun k -> (key k, k)))
+  in
+  let rec groups acc = function
+    | [] -> List.rev acc
+    | (kk, k) :: _ as run ->
+      let mine, rest = List.partition (fun (kk', _) -> kk' = kk) run in
+      let v = List.fold_left (fun s (_, k') -> s +. c.Coo.vals.(k')) 0. mine in
+      groups ((k, v) :: acc) rest
+  in
+  let g = groups [] sorted in
+  ( Array.map (fun col -> Array.of_list (List.map (fun (k, _) -> col.(k)) g))
+      c.Coo.crd,
+    Array.of_list (List.map snd g) )
+
+let bits_equal a b =
+  Array.length a = Array.length b
+  && Array.for_all2
+       (fun x y -> Int64.equal (Int64.bits_of_float x) (Int64.bits_of_float y))
+       a b
+
+let rec permutations = function
+  | [] -> [ [] ]
+  | l ->
+    List.concat_map
+      (fun x ->
+        List.map (fun p -> x :: p) (permutations (List.filter (( <> ) x) l)))
+      l
+
+(* Every dimension order of [c]: sorted_dedup equals the oracle bit for
+   bit, coordinates and summed values alike. *)
+let dedup_matches_oracle (c : Coo.t) =
+  List.for_all
+    (fun perm ->
+      let perm = Array.of_list perm in
+      let s = Coo.sorted_dedup ~perm c in
+      let crd, vals = oracle_dedup perm c in
+      s.Coo.dims = c.Coo.dims && s.Coo.crd = crd && bits_equal s.Coo.vals vals)
+    (permutations (List.init (Coo.rank c) Fun.id))
+
+(* Values whose sums depend on the order they are added in. *)
+let order_sensitive = [| 1e16; 1.; -1e16; 0.1; 0.2; 0.3; -0.; 2.5 |]
+
+let qcheck_dedup_oracle =
+  let gen =
+    QCheck2.Gen.(
+      let* rank = int_range 1 3 in
+      let* dims = array_size (pure rank) (int_range 1 5) in
+      let* n = int_range 0 40 in
+      let* crd =
+        flatten_a
+          (Array.map (fun d -> array_size (pure n) (int_range 0 (d - 1))) dims)
+      in
+      let* vals = array_size (pure n) (oneofa order_sensitive) in
+      pure (Coo.create ~dims ~crd ~vals))
+  in
+  QCheck2.Test.make ~count:300 ~name:"sorted_dedup = list-sort oracle" gen
+    dedup_matches_oracle
+
+let test_dedup_edge_shapes () =
+  let rng = Random.State.make [| 13 |] in
+  let random_coo dims n =
+    let pick () =
+      order_sensitive.(Random.State.int rng (Array.length order_sensitive))
+    in
+    Coo.create ~dims
+      ~crd:
+        (Array.map
+           (fun d -> Array.init n (fun _ -> Random.State.int rng d))
+           dims)
+      ~vals:(Array.init n (fun _ -> pick ()))
+  in
+  (* Hypersparse: 10^9 x 10^9 extents, 50 entries drawn from 8 rows and
+     8 columns so duplicates occur. *)
+  let big = 1_000_000_000 in
+  let spots = Array.init 8 (fun i -> (i * 123_456_789) + 7) in
+  let hyper =
+    Coo.create ~dims:[| big; big |]
+      ~crd:
+        (Array.init 2 (fun _ ->
+             Array.init 50 (fun _ -> spots.(Random.State.int rng 8))))
+      ~vals:(Array.init 50 (fun k -> float_of_int k +. 0.5))
+  in
+  List.iter
+    (fun (label, c) -> check label true (dedup_matches_oracle c))
+    [ ("empty", random_coo [| 4; 4 |] 0);
+      ("empty rank 3", random_coo [| 2; 3; 4 |] 0);
+      ("1xN", random_coo [| 1; 9 |] 30);
+      ("Nx1", random_coo [| 9; 1 |] 30);
+      ("rank 1", random_coo [| 7 |] 25);
+      ("rank 3", random_coo [| 3; 4; 2 |] 60);
+      ("hypersparse", hyper) ];
+  check "hypersparse keeps duplicates summed" true
+    (Coo.nnz (Coo.sorted_dedup hyper) < 50)
+
+(* Pack output, level by level, rendered for comparison. *)
+let render (st : Storage.t) =
+  let ints a = String.concat "," (Array.to_list (Array.map string_of_int a)) in
+  let lvl = function
+    | Storage.Ldense { lsize } -> Printf.sprintf "dense %d" lsize
+    | Storage.Lcompressed { pos; crd; unique } ->
+      Printf.sprintf "comp%s pos=%s crd=%s"
+        (if unique then "" else "-nu")
+        (ints pos) (ints crd)
+    | Storage.Lsingleton { crd } -> Printf.sprintf "single crd=%s" (ints crd)
+  in
+  String.concat "; "
+    (Array.to_list (Array.map lvl st.Storage.lvls)
+    @ [ "vals="
+        ^ String.concat ","
+            (Array.to_list (Array.map (Printf.sprintf "%g") st.Storage.vals))
+      ])
+
+(* A 6x7 matrix with duplicates, one pair summing to an explicit zero at
+   (2, 3), an empty row and an empty column; and a 3x4x2 tensor with two
+   duplicate pairs. *)
+let pack_matrix () =
+  Coo.of_triples ~rows:6 ~cols:7
+    [ (4, 6, 1.5); (0, 1, 2.); (2, 3, -1.); (0, 1, 0.25); (3, 0, 4.);
+      (2, 2, 3.); (4, 0, 5.); (0, 6, 6.); (2, 3, 1.); (1, 5, 7.) ]
+
+let pack_tensor3 () =
+  Coo.create ~dims:[| 3; 4; 2 |]
+    ~crd:[| [| 2; 0; 1; 0; 2; 1 |]; [| 3; 1; 0; 1; 0; 0 |];
+            [| 1; 0; 1; 0; 0; 1 |] |]
+    ~vals:[| 1.; 2.; 3.; 4.; 5.; 6. |]
+
+(* Expected buffers, one per encoding (matrix, then tensor). *)
+let pack_expected =
+  [ ( "COO",
+      "comp-nu pos=0,8 crd=0,0,1,2,2,3,4,4;\
+       \ single crd=1,6,5,2,3,0,0,6;\
+       \ vals=2.25,6,7,3,0,4,5,1.5" );
+    ( "CSR",
+      "dense 6;\
+       \ comp pos=0,2,3,5,6,8,8 crd=1,6,5,2,3,0,0,6;\
+       \ vals=2.25,6,7,3,0,4,5,1.5" );
+    ( "CSC",
+      "dense 7;\
+       \ comp pos=0,2,3,4,5,5,6,8 crd=3,4,0,2,2,1,0,4;\
+       \ vals=4,5,2.25,3,0,7,6,1.5" );
+    ( "DCSR",
+      "comp pos=0,5 crd=0,1,2,3,4;\
+       \ comp pos=0,2,3,5,6,8 crd=1,6,5,2,3,0,0,6;\
+       \ vals=2.25,6,7,3,0,4,5,1.5" );
+    ( "CSF",
+      "comp pos=0,5 crd=0,1,2,3,4;\
+       \ comp pos=0,2,3,5,6,8 crd=1,6,5,2,3,0,0,6;\
+       \ vals=2.25,6,7,3,0,4,5,1.5" );
+    ( "BSR2x2",
+      "dense 3;\
+       \ comp pos=0,3,5,7 crd=0,2,3,0,1,0,3;\
+       \ vals=0,2.25,0,0,0,0,0,7,6,0,0,0,0,0,4,0,3,0,0,0,5,0,0,0,1.5,0,0,0" );
+    ( "BSR2x3",
+      "dense 3;\
+       \ comp pos=0,3,5,7 crd=0,1,2,0,1,0,2;\
+       \ vals=0,2.25,0,0,0,0,0,0,0,0,0,7,6,0,0,0,0,0,0,0,3,4,0,0,0,0,0,\
+       0,0,0,5,0,0,0,0,0,1.5,0,0,0,0,0" );
+    ( "CSF",
+      "comp pos=0,3 crd=0,1,2;\
+       \ comp pos=0,1,2,4 crd=1,0,0,3;\
+       \ comp pos=0,1,2,3,4 crd=0,1,0,1;\
+       \ vals=6,9,5,1" );
+    ( "CSF-201",
+      "comp pos=0,2 crd=0,1;\
+       \ comp pos=0,2,4 crd=0,2,1,2;\
+       \ comp pos=0,1,2,3,4 crd=1,0,0,3;\
+       \ vals=6,5,9,1" ) ]
+
+let test_pack_expected () =
+  let encs =
+    [ (Encoding.coo (), pack_matrix); (Encoding.csr (), pack_matrix);
+      (Encoding.csc (), pack_matrix); (Encoding.dcsr (), pack_matrix);
+      (Encoding.csf 2, pack_matrix);
+      (Encoding.bsr ~bh:2 ~bw:2 (), pack_matrix);
+      (Encoding.bsr ~bh:2 ~bw:3 (), pack_matrix);
+      (Encoding.csf 3, pack_tensor3);
+      ( Encoding.make "CSF-201"
+          (Array.make 3 (Encoding.Compressed { unique = true }))
+          [| 2; 0; 1 |],
+        pack_tensor3 ) ]
+  in
+  check_int "one expectation per encoding" (List.length encs)
+    (List.length pack_expected);
+  List.iter2
+    (fun (enc, coo) (name, want) ->
+      Alcotest.(check string) name enc.Encoding.name name;
+      Alcotest.(check string) ("pack " ^ name) want
+        (render (Storage.pack enc (coo ()))))
+    encs pack_expected
 
 (* --- Encoding ------------------------------------------------------ *)
 
@@ -145,7 +343,7 @@ let test_storage_convert () =
     (Coo.to_dense (Storage.to_coo st'))
 
 let test_storage_empty () =
-  let c = Coo.create ~dims:[| 4; 4 |] ~coords:[||] ~vals:[||] in
+  let c = Coo.create ~dims:[| 4; 4 |] ~crd:[| [||]; [||] |] ~vals:[||] in
   List.iter
     (fun enc ->
       let st = Storage.pack enc c in
@@ -162,7 +360,7 @@ let test_storage_csf_rank3 () =
   (* A 2x2x3 tensor with nnz at (0,0,1), (0,1,2), (1,1,0). *)
   let c =
     Coo.create ~dims:[| 2; 2; 3 |]
-      ~coords:[| [| 0; 0; 1 |]; [| 0; 1; 2 |]; [| 1; 1; 0 |] |]
+      ~crd:[| [| 0; 0; 1 |]; [| 0; 1; 1 |]; [| 1; 2; 0 |] |]
       ~vals:[| 1.; 2.; 3. |]
   in
   let st = Storage.pack (Encoding.csf 3) c in
@@ -358,6 +556,135 @@ let test_mm_duplicate_rejected () =
        "%%MatrixMarket matrix coordinate real symmetric\n\
         3 3 2\n2 1 1.0\n1 2 5.0\n") ]
 
+(* A malformed file is a Parse_error labelled with its 1-based line. *)
+let error_line s =
+  match Matrix_market.of_string s with
+  | (_ : Coo.t) -> Alcotest.fail ("accepted " ^ String.escaped s)
+  | exception Matrix_market.Parse_error msg ->
+    (match Scanf.sscanf_opt msg "line %d:" Fun.id with
+     | Some n -> (n, msg)
+     | None -> Alcotest.fail ("unlabelled error: " ^ msg))
+
+let mm_header field sym =
+  Printf.sprintf "%%%%MatrixMarket matrix coordinate %s %s\n" field sym
+
+let test_mm_labelled_errors () =
+  let hdr = mm_header "real" "general" in
+  List.iter
+    (fun (label, text, line, says) ->
+      let n, msg = error_line text in
+      check_int (label ^ ": line") line n;
+      check (label ^ ": " ^ msg) true (Astring_contains.contains msg says))
+    [ ("bad index token", hdr ^ "2 2 1\n1 x 1.0\n", 3, "bad entry");
+      ("bad value token", hdr ^ "2 2 1\n1 1 abc\n", 3, "bad entry");
+      ("negative size", hdr ^ "-2 -2 0\n", 2, "bad size");
+      ("huge declared nnz", hdr ^ "% c\n2 2 4000000000000000\n1 1 1.0\n", 3,
+       "expected 4000000000000000 entries, found 1");
+      ("overflowing index", hdr ^ "2 2 1\n99999999999999999999 1 1.0\n", 3,
+       "bad entry");
+      ("out of bounds", hdr ^ "2 2 1\n\n3 1 1.0\n", 4, "out of 2x2");
+      ("missing value", hdr ^ "2 2 1\n1 1\n", 3, "bad entry");
+      ("extra token", hdr ^ "2 2 1\n1 1 1.0 9\n", 3, "bad entry");
+      ("too many entries", hdr ^ "2 2 1\n1 1 1.0\n2 2 1.0\n", 2,
+       "expected 1 entries, found 2");
+      ("duplicate", hdr ^ "3 3 3\n1 1 1.0\n% c\n2 2 1.0\n1 1 5.0\n", 6,
+       "duplicate entry (1, 1)");
+      ("mirror duplicate",
+       mm_header "real" "symmetric" ^ "3 3 2\n2 1 1.0\n1 2 5.0\n", 4,
+       "duplicate entry (1, 2)");
+      ("non-square symmetric",
+       mm_header "real" "symmetric" ^ "2 3 1\n1 3 1.0\n", 2, "square");
+      ("empty", "", 1, "empty file");
+      ("missing size line", hdr ^ "% only a comment\n", 3, "missing size") ]
+
+(* The gen -> run round trip: generators may draw one coordinate twice,
+   which a Matrix Market file cannot hold, so files are written from the
+   summed canonical form, and that form reads back bit for bit. *)
+let test_mm_generated_roundtrip () =
+  let raw =
+    match Asap_workloads.Generate.of_spec "uniform:2000,40000" with
+    | Ok c -> c
+    | Error e -> Alcotest.fail e
+  in
+  (match Matrix_market.of_string (Matrix_market.to_string raw) with
+   | (_ : Coo.t) -> Alcotest.fail "generator drew no duplicate coordinate"
+   | exception Matrix_market.Parse_error msg ->
+     check "raw draw has duplicates" true
+       (Astring_contains.contains msg "duplicate"));
+  let c = Coo.sorted_dedup raw in
+  let back = Matrix_market.of_string (Matrix_market.to_string c) in
+  check "coordinates round-trip" true (back.Coo.crd = c.Coo.crd);
+  check "values round-trip" true (bits_equal back.Coo.vals c.Coo.vals);
+  check "packs identically" true
+    (render (Storage.pack (Encoding.csr ()) back)
+     = render (Storage.pack (Encoding.csr ()) raw))
+
+(* Fuzzing: truncations, byte mutations, deleted or repeated spans and
+   garbage over valid files give Ok or a labelled Parse_error — never
+   another exception. *)
+let mm_seeds =
+  let general = Matrix_market.to_string (Coo.sorted_dedup (pack_matrix ())) in
+  [ general;
+    String.concat "\r\n" (String.split_on_char '\n' general);
+    mm_header "real" "symmetric" ^ "% c\n4 4 3\n2 1 1.5\n3 3 -2\n4 2 0.25\n";
+    mm_header "pattern" "general" ^ "3 4 3\n1 1\n  2 4  \n\n3 2\n";
+    mm_header "integer" "skew-symmetric" ^ "3 3 2\r\n2 1 7\r\n3 1 -3\r\n" ]
+
+let labelled_only s =
+  match Matrix_market.of_string s with
+  | c ->
+    (* Whatever parses is a valid tensor: every coordinate in bounds. *)
+    let { Coo.dims; crd; vals } = c in
+    let (_ : Coo.t) = Coo.create ~dims ~crd ~vals in
+    true
+  | exception Matrix_market.Parse_error msg ->
+    (match Scanf.sscanf_opt msg "line %d:" Fun.id with
+     | Some n when n >= 1 -> true
+     | _ -> QCheck2.Test.fail_reportf "unlabelled error %S" msg)
+
+let mm_chars =
+  [ '0'; '1'; '9'; '-'; '+'; '%'; ' '; '\t'; '\n'; '\r'; 'e'; '.'; 'x';
+    '\000'; 'n' ]
+
+let qcheck_mm_mutated =
+  let gen =
+    QCheck2.Gen.(
+      let* seed = oneofl mm_seeds in
+      let* kind = int_range 0 4 in
+      let* at = float_range 0. 1. in
+      let* ch = oneofl mm_chars in
+      let* len = int_range 1 6 in
+      pure (seed, kind, at, ch, len))
+  in
+  QCheck2.Test.make ~count:1000 ~name:"mutated mtx fails labelled" gen
+    (fun (text, kind, at, ch, len) ->
+      let n = String.length text in
+      let pos = min (n - 1) (int_of_float (at *. float_of_int n)) in
+      let stop = min n (pos + len) in
+      let mutated =
+        match kind with
+        | 0 -> String.sub text 0 pos
+        | 1 -> String.mapi (fun i c -> if i = pos then ch else c) text
+        | 2 -> String.sub text 0 pos ^ String.sub text stop (n - stop)
+        | 3 ->
+          String.sub text 0 pos ^ String.make len ch
+          ^ String.sub text pos (n - pos)
+        | _ -> String.sub text 0 stop ^ String.sub text pos (n - pos)
+      in
+      labelled_only mutated)
+
+let qcheck_mm_garbage =
+  let gen =
+    QCheck2.Gen.(
+      let* prefix =
+        oneofl ("" :: List.map (fun s -> String.sub s 0 50) mm_seeds)
+      in
+      let* tail = string_size ~gen:(oneofl mm_chars) (int_range 0 80) in
+      pure (prefix ^ tail))
+  in
+  QCheck2.Test.make ~count:500 ~name:"garbage mtx fails labelled" gen
+    labelled_only
+
 (* --- Dense --------------------------------------------------------- *)
 
 let test_dense () =
@@ -375,6 +702,10 @@ let suite =
     Alcotest.test_case "coo sorted_dedup" `Quick test_coo_sorted_dedup;
     Alcotest.test_case "coo dedup perm" `Quick test_coo_sorted_dedup_perm;
     Alcotest.test_case "coo stats" `Quick test_coo_stats;
+    QCheck_alcotest.to_alcotest qcheck_dedup_oracle;
+    Alcotest.test_case "coo dedup edge shapes" `Quick test_dedup_edge_shapes;
+    Alcotest.test_case "storage pack expected buffers" `Quick
+      test_pack_expected;
     Alcotest.test_case "encoding validate" `Quick test_encoding_validate;
     Alcotest.test_case "encoding props" `Quick test_encoding_props;
     Alcotest.test_case "storage csr fig2" `Quick test_storage_csr_fig2;
@@ -401,4 +732,10 @@ let suite =
       test_mm_crlf_and_whitespace;
     Alcotest.test_case "matrix market duplicates" `Quick
       test_mm_duplicate_rejected;
+    Alcotest.test_case "matrix market labelled errors" `Quick
+      test_mm_labelled_errors;
+    Alcotest.test_case "matrix market generated roundtrip" `Quick
+      test_mm_generated_roundtrip;
+    QCheck_alcotest.to_alcotest qcheck_mm_mutated;
+    QCheck_alcotest.to_alcotest qcheck_mm_garbage;
     Alcotest.test_case "dense tensor" `Quick test_dense ]
