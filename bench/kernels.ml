@@ -16,7 +16,7 @@
    Results go to stdout as JSON (tracked in BENCH_kernels.json by
    tools/kernel_smoke.sh @kernel-smoke).
 
-   Usage: kernels.exe [--engine interp|compiled|bytecode]
+   Usage: kernels.exe [--engine interp|bytecode]
                       [n] [seed] [jobs] [min_ratio; 0 disables] [updates] *)
 
 module Encoding = Asap_tensor.Encoding
@@ -93,8 +93,12 @@ let () =
     let kk = sc.sc_kk in
     let run variant =
       match sc.sc_kernel with
-      | `Spmv -> Driver.spmv ~engine machine variant sc.sc_enc coo
-      | `Sddmm -> Driver.sddmm ~engine ~kk machine variant sc.sc_enc coo
+      | `Spmv ->
+        Driver.run (Driver.Cfg.make ~engine ~machine ~variant ())
+          (Driver.Spmv sc.sc_enc) coo
+      | `Sddmm ->
+        Driver.run (Driver.Cfg.make ~engine ~n:kk ~machine ~variant ())
+          (Driver.Sddmm sc.sc_enc) coo
     in
     let base = run Pipeline.Baseline in
     let asap = run (Pipeline.Asap Asap_prefetch.Asap.default) in

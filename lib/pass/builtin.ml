@@ -1,7 +1,7 @@
 (* The built-in pass set: the existing lowering stages re-expressed as
-   registered passes, plus the new unrolling and prefetch-slack
-   transforms.  [ensure] is idempotent and called by every entry point
-   that consults the registry, so linking this module suffices. *)
+   registered passes, plus loop unrolling.  [ensure] is idempotent and
+   called by every entry point that consults the registry, so linking
+   this module suffices. *)
 
 module Asap = Asap_prefetch.Asap
 module Aj = Asap_prefetch.Ainsworth_jones
@@ -9,7 +9,6 @@ module Sparsify = Asap_sparsifier.Sparsify
 module Fold = Asap_ir.Fold
 module Licm = Asap_ir.Licm
 module Unroll = Asap_ir.Unroll
-module Slack = Asap_ir.Slack
 
 let vi i = Spec.Vint i
 let vs s = Spec.Vsym s
@@ -34,11 +33,8 @@ let asap_config (ps : Pass.params) : Asap.config =
        | _ -> Asap.Semantic);
     step1 = Pass.psym ps "step1" = "true" }
 
-let registered = ref false
-
-let ensure () =
-  if not !registered then begin
-    registered := true;
+let register_builtins () =
+  begin
     Pass.register
       { Pass.name = "sparsify";
         doc = "lower the kernel to verified imperative IR (entry pass)";
@@ -105,15 +101,19 @@ let ensure () =
           Pass.Ir_pass
             (fun ps fn ->
               let fn, stats = Unroll.run ~factor:(Pass.pint ps "f") fn in
-              (fn, stats.Unroll.unrolled)) };
-    Pass.register
-      { Pass.name = "slack";
-        doc = "hoist prefetches earlier within their verified bound";
-        params = [ int_param "max" "maximum hoist distance in statements" 8 ];
-        counts_sites = false;
-        kind =
-          Pass.Ir_pass
-            (fun ps fn ->
-              let fn, stats = Slack.run ~max_dist:(Pass.pint ps "max") fn in
-              (fn, stats.Slack.moved)) }
+              (fn, stats.Unroll.unrolled)) }
   end
+
+(* The first registry consultation can happen on several domains at once
+   (serve's parallel build pass), so registration runs once under a lock
+   and [registered] flips only after every pass is in. *)
+let registered = Atomic.make false
+let lock = Mutex.create ()
+
+let ensure () =
+  if not (Atomic.get registered) then
+    Mutex.protect lock (fun () ->
+        if not (Atomic.get registered) then begin
+          register_builtins ();
+          Atomic.set registered true
+        end)

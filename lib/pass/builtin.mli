@@ -8,8 +8,7 @@
     - [aj] — Ainsworth-Jones post-hoc prefetch pass ([d], [l]);
     - [fold] — constant folding;
     - [licm] — loop-invariant code motion;
-    - [unroll] — innermost-loop unrolling ([f]);
-    - [slack] — prefetch-slack scheduling ([max]).
+    - [unroll] — innermost-loop unrolling ([f]).
 
     Every entry point that consults the registry calls this first, so
     user code never needs to. *)

@@ -1,8 +1,8 @@
 (* Flat-bytecode execution engine with superinstruction fusion.
 
-   The closure-compiled engine ({!Compile}) removes interpretation
-   overhead but still pays an indirect call per simulated statement, and
-   the closure tree scatters operands across environment blocks. This
+   Staging an [Ir.func] into a tree of OCaml closures would remove
+   interpretation overhead but still pay an indirect call per simulated
+   statement and scatter operands across closure environments. This
    engine flattens an [Ir.func] into a single [int array] instruction
    stream — int-coded opcodes followed by their operands (register
    indices into the unboxed [ienv]/[fenv]/[ready] files, plus immediates
@@ -136,7 +136,7 @@ let op_pos2for = 54
 let op_for_loop = 55
 let op_for_kenter = 56
 
-(* Carried-value plumbing, staged exactly as in Compile: vids of
+(* Carried-value plumbing, resolved once at compile time: vids of
    destinations and sources plus per-slot float-ness. *)
 type carry = {
   car_dst : int array;
@@ -272,7 +272,7 @@ let fbin_code = function
   | Ir.Fmax -> op_fadd + 5
 
 (* Signed and unsigned orders coincide (indices are non-negative), as in
-   Interp and Compile. *)
+   Interp. *)
 let icmp_code = function
   | Ir.Eq -> op_ceq
   | Ir.Ne -> op_ceq + 1
@@ -599,8 +599,9 @@ let compile ?(fuse = true) ?(spec = false) (fn : Ir.func)
 
 (* --- Execution ------------------------------------------------------- *)
 
-(* Per-run mutable state: identical timing core to Compile.state, plus
-   the per-static-loop slot arrays (iv, hi, step, riv). *)
+(* Per-run mutable state: the timing core (ROB ring, issue-rate quotient
+   and remainder kept incrementally), plus the per-static-loop slot
+   arrays (iv, hi, step, riv). *)
 type state = {
   ienv : int array;
   fenv : float array;
@@ -629,9 +630,8 @@ type state = {
 
 let[@inline] imax (a : int) (b : int) = if a >= b then a else b
 
-(* Issue/retire arithmetic — byte-for-byte the Compile engine's, which is
-   itself Interp's [issue] with the division and modulo maintained
-   incrementally. *)
+(* Issue/retire arithmetic — byte-for-byte Interp's [issue], with the
+   division and modulo maintained incrementally. *)
 let[@inline] issue_at st ops_ready =
   imax (st.qbase + st.bubble)
     (imax ops_ready (Array.unsafe_get st.rob st.slot))

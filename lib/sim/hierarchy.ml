@@ -152,7 +152,7 @@ let bump_pc t which pc =
   else a.(pc) <- a.(pc) + 1
 
 (* Loads carry their Ir vid as pc; stores and prefetcher observations are
-   tagged with bits >= 0x10000 (see Interp/Compile) and are excluded. *)
+   tagged with bits >= 0x10000 (see Interp/Bytecode) and are excluded. *)
 let attributable pc = pc >= 0 && pc < 0x10000
 
 (* Install a line at [level] and the levels outward of it (inclusive L3).

@@ -1,6 +1,7 @@
 (* Memory-trace recording.
 
-   Wraps an {!Interp.mem} port and records every event in program order.
+   An {!Asap_obs.Sink.t} over the memory hierarchy's event stream that
+   records demand loads, stores and software prefetches in program order.
    Used by tests and tools to validate prefetching *mechanically*: e.g.
    that every demand access to the indirectly-indexed operand was covered
    by an earlier software prefetch of the same line (§3.2's coverage
@@ -11,37 +12,21 @@ type event =
   | Store of { pc : int; addr : int; at : int }
   | Prefetch of { addr : int; locality : int; at : int }
 
-type t = { mutable events : event list; mutable count : int }
+type t = { mutable events : event list }
 
-let create () = { events = []; count = 0 }
+let create () = { events = [] }
 
-let record t e =
-  t.events <- e :: t.events;
-  t.count <- t.count + 1
-
-(** [wrap t mem] records every event flowing through [mem]. *)
-let wrap (t : t) (mem : Interp.mem) : Interp.mem =
-  { Interp.m_load =
-      (fun ~pc ~addr ~at ->
-        record t (Load { pc; addr; at });
-        mem.Interp.m_load ~pc ~addr ~at);
-    m_store =
-      (fun ~pc ~addr ~at ->
-        record t (Store { pc; addr; at });
-        mem.Interp.m_store ~pc ~addr ~at);
-    m_prefetch =
-      (fun ~addr ~locality ~at ->
-        record t (Prefetch { addr; locality; at });
-        mem.Interp.m_prefetch ~addr ~locality ~at) }
+let record t e = t.events <- e :: t.events
 
 (** [events t] in program order. *)
 let events t = List.rev t.events
 
 (** [sink t] records the hierarchy's event stream into [t], making the
     trace a first-class {!Asap_obs.Sink.t}: demand loads, stores and
-    software prefetches land in the same program-order event list that
-    {!wrap} produces (hardware-prefetch and drop events have no
-    program-order meaning here and are skipped). *)
+    software prefetches land in one program-order event list — every
+    software prefetch, whether the hierarchy issued or dropped it
+    (hardware-prefetch and drop events have no program-order meaning
+    here and are skipped). *)
 let sink (t : t) : Asap_obs.Sink.t =
   Asap_obs.Sink.make (fun (e : Asap_obs.Sink.ev) ->
       match e with
@@ -52,13 +37,6 @@ let sink (t : t) : Asap_obs.Sink.t =
       | Asap_obs.Sink.Sw_prefetch { addr; locality; at; _ } ->
         record t (Prefetch { addr; locality; at })
       | Asap_obs.Sink.Hw_prefetch _ | Asap_obs.Sink.Drop _ -> ())
-
-(** A free-running port (every load one cycle): traces functional access
-    order without a memory hierarchy. *)
-let free_mem : Interp.mem =
-  { Interp.m_load = (fun ~pc:_ ~addr:_ ~at -> at + 1);
-    m_store = (fun ~pc:_ ~addr:_ ~at:_ -> ());
-    m_prefetch = (fun ~addr:_ ~locality:_ ~at:_ -> ()) }
 
 (** [coverage ?late t ~range ~line_bytes] computes, over demand loads
     whose address falls in [range) — typically one operand's buffer — the

@@ -1,7 +1,8 @@
 (** Memory-trace recording.
 
-    Wraps an {!Interp.mem} port and records every event in program order —
-    used to validate prefetching {e mechanically} (e.g. §3.2.2's coverage
+    A sink over the memory hierarchy's event stream that records every
+    demand load, store and software prefetch in program order — used to
+    validate prefetching {e mechanically} (e.g. §3.2.2's coverage
     claim), independent of the timing model. *)
 
 type event =
@@ -13,20 +14,13 @@ type t
 
 val create : unit -> t
 
-(** [wrap t mem] records every event flowing through [mem]. *)
-val wrap : t -> Interp.mem -> Interp.mem
-
 (** [events t] in program order. *)
 val events : t -> event list
 
 (** [sink t] records the hierarchy's event stream into [t]: demand loads,
-    stores and software prefetches land in the same program-order list
-    {!wrap} produces (hardware-prefetch and drop events are skipped). *)
+    stores and every software prefetch (issued or dropped) land in one
+    program-order list; hardware-prefetch and drop events are skipped. *)
 val sink : t -> Asap_obs.Sink.t
-
-(** A free-running port (every load one cycle): traces functional access
-    order without a memory hierarchy. *)
-val free_mem : Interp.mem
 
 (** [coverage ?late t ~range ~line_bytes] is (covered, total): over demand
     loads whose address falls in [range), how many distinct lines were

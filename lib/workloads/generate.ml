@@ -8,29 +8,51 @@
 
 module Coo = Asap_tensor.Coo
 
-(* Dedup/sort once at the end; duplicate coordinates are summed by
+(* Entries are pushed into one growable pair of flat int buffers, then
+   copied into the COO arrays last-pushed first — the order the
+   generators have always produced — with values drawn in entry order
+   after every coordinate, so seeds keep their matrices. Dedup/sort
+   happens once at the end: duplicate coordinates are summed by
    [Coo.sorted_dedup] inside [Storage.pack], so generators may emit
    collisions freely. *)
-let of_rowcols ~rows ~cols entries rng =
-  let n = List.length entries in
-  let ci = Array.make n 0 and cj = Array.make n 0 and vals = Array.make n 0. in
-  List.iteri
-    (fun k (i, j) ->
-      ci.(k) <- i;
-      cj.(k) <- j;
-      vals.(k) <- 0.5 +. Rng.float rng)
-    entries;
+type entries = {
+  mutable ei : int array;
+  mutable ej : int array;
+  mutable n : int;
+}
+
+let entries cap =
+  let cap = max 16 cap in
+  { ei = Array.make cap 0; ej = Array.make cap 0; n = 0 }
+
+let push e i j =
+  if e.n = Array.length e.ei then begin
+    let grow a = Array.append a (Array.make (Array.length a) 0) in
+    e.ei <- grow e.ei;
+    e.ej <- grow e.ej
+  end;
+  e.ei.(e.n) <- i;
+  e.ej.(e.n) <- j;
+  e.n <- e.n + 1
+
+let of_entries ~rows ~cols e rng =
+  let n = e.n in
+  let ci = Array.init n (fun k -> e.ei.(n - 1 - k))
+  and cj = Array.init n (fun k -> e.ej.(n - 1 - k)) in
+  let vals = Array.make n 0. in
+  for k = 0 to n - 1 do vals.(k) <- 0.5 +. Rng.float rng done;
   Coo.create ~dims:[| rows; cols |] ~crd:[| ci; cj |] ~vals
 
 (** Uniform random matrix: every non-zero position independent — the worst
     case for locality (GAP-urand style). *)
 let uniform ~seed ~rows ~cols ~nnz () =
   let rng = Rng.create seed in
-  let entries = ref [] in
+  let e = entries nnz in
   for _ = 1 to nnz do
-    entries := (Rng.int rng rows, Rng.int rng cols) :: !entries
+    let j = Rng.int rng cols in
+    push e (Rng.int rng rows) j
   done;
-  of_rowcols ~rows ~cols !entries rng
+  of_entries ~rows ~cols e rng
 
 (** Power-law graph adjacency (SNAP/LAW/GAP style): row degrees follow a
     bounded Pareto with exponent [alpha]; a fraction [locality] of the
@@ -40,7 +62,7 @@ let power_law ~seed ~rows ~cols ~avg_deg ~alpha ?(locality = 0.0)
     ?(max_deg_frac = 0.01) () =
   let rng = Rng.create seed in
   let x_max = max 4 (int_of_float (float_of_int cols *. max_deg_frac)) in
-  let entries = ref [] in
+  let e = entries (rows * avg_deg) in
   (* Scale sampled degrees so the expected average matches avg_deg. *)
   let sample () = Rng.power_law rng ~alpha ~x_min:1 ~x_max in
   let probe = Array.init 1024 (fun _ -> sample ()) in
@@ -63,87 +85,86 @@ let power_law ~seed ~rows ~cols ~avg_deg ~alpha ?(locality = 0.0)
         end
         else Rng.int rng cols
       in
-      entries := (i, j) :: !entries
+      push e i j
     done
   done;
-  of_rowcols ~rows ~cols !entries rng
+  of_entries ~rows ~cols e rng
 
 (** Banded matrix: [band] diagonals around the main one — structured,
     cache-friendly (the "Others" bucket). *)
 let banded ~seed ~n ~band () =
   let rng = Rng.create seed in
-  let entries = ref [] in
+  let e = entries (n * ((2 * band) + 1)) in
   for i = 0 to n - 1 do
     for o = -band to band do
       let j = i + o in
-      if j >= 0 && j < n then entries := (i, j) :: !entries
+      if j >= 0 && j < n then push e i j
     done
   done;
-  of_rowcols ~rows:n ~cols:n !entries rng
+  of_entries ~rows:n ~cols:n e rng
 
 (** 5-point 2-D stencil on a [side] x [side] grid (PDE discretisation). *)
 let stencil_2d ~seed ~side () =
   let rng = Rng.create seed in
   let n = side * side in
   let idx x y = (x * side) + y in
-  let entries = ref [] in
+  let e = entries (5 * n) in
   for x = 0 to side - 1 do
     for y = 0 to side - 1 do
       let i = idx x y in
-      entries := (i, i) :: !entries;
-      if x > 0 then entries := (i, idx (x - 1) y) :: !entries;
-      if x < side - 1 then entries := (i, idx (x + 1) y) :: !entries;
-      if y > 0 then entries := (i, idx x (y - 1)) :: !entries;
-      if y < side - 1 then entries := (i, idx x (y + 1)) :: !entries
+      push e i i;
+      if x > 0 then push e i (idx (x - 1) y);
+      if x < side - 1 then push e i (idx (x + 1) y);
+      if y > 0 then push e i (idx x (y - 1));
+      if y < side - 1 then push e i (idx x (y + 1))
     done
   done;
-  of_rowcols ~rows:n ~cols:n !entries rng
+  of_entries ~rows:n ~cols:n e rng
 
 (** 7-point 3-D stencil on a [side]^3 grid. *)
 let stencil_3d ~seed ~side () =
   let rng = Rng.create seed in
   let n = side * side * side in
   let idx x y z = (((x * side) + y) * side) + z in
-  let entries = ref [] in
+  let e = entries (7 * n) in
   for x = 0 to side - 1 do
     for y = 0 to side - 1 do
       for z = 0 to side - 1 do
         let i = idx x y z in
-        let push j = entries := (i, j) :: !entries in
-        push i;
-        if x > 0 then push (idx (x - 1) y z);
-        if x < side - 1 then push (idx (x + 1) y z);
-        if y > 0 then push (idx x (y - 1) z);
-        if y < side - 1 then push (idx x (y + 1) z);
-        if z > 0 then push (idx x y (z - 1));
-        if z < side - 1 then push (idx x y (z + 1))
+        push e i i;
+        if x > 0 then push e i (idx (x - 1) y z);
+        if x < side - 1 then push e i (idx (x + 1) y z);
+        if y > 0 then push e i (idx x (y - 1) z);
+        if y < side - 1 then push e i (idx x (y + 1) z);
+        if z > 0 then push e i (idx x y (z - 1));
+        if z < side - 1 then push e i (idx x y (z + 1))
       done
     done
   done;
-  of_rowcols ~rows:n ~cols:n !entries rng
+  of_entries ~rows:n ~cols:n e rng
 
 (** FEM-like block-banded matrix: dense [blk] x [blk] element blocks along
     a band (Janna-collection style: large rows, strong locality). *)
 let fem_blocks ~seed ~nblocks ~blk ~reach () =
   let rng = Rng.create seed in
   let n = nblocks * blk in
-  let entries = ref [] in
+  let e = entries (n * blk * ((2 * reach) + 1)) in
   for b = 0 to nblocks - 1 do
     for nb = max 0 (b - reach) to min (nblocks - 1) (b + reach) do
       for r = 0 to blk - 1 do
         for c = 0 to blk - 1 do
-          entries := ((b * blk) + r, (nb * blk) + c) :: !entries
+          push e ((b * blk) + r) ((nb * blk) + c)
         done
       done
     done
   done;
-  of_rowcols ~rows:n ~cols:n !entries rng
+  of_entries ~rows:n ~cols:n e rng
 
 (** Road-network-like graph: constant small degree, strongly local columns
     with occasional long-range links (DIMACS10 street networks). *)
 let road ~seed ~n ~deg () =
   let rng = Rng.create seed in
-  let entries = ref [] in
+  let e = entries (n * deg) in
   for i = 0 to n - 1 do
     for _ = 1 to deg do
       let j =
@@ -154,10 +175,10 @@ let road ~seed ~n ~deg () =
         end
         else Rng.int rng n
       in
-      entries := (i, j) :: !entries
+      push e i j
     done
   done;
-  of_rowcols ~rows:n ~cols:n !entries rng
+  of_entries ~rows:n ~cols:n e rng
 
 (** Uniform random rank-3 tensor (for CSF / tensor-times-vector runs). *)
 let tensor3 ~seed ~dims ~nnz () =
@@ -177,16 +198,17 @@ let tensor3 ~seed ~dims ~nnz () =
     (backbone hosts) over a sea of tiny ones. *)
 let heavy_tail ~seed ~rows ~cols ~nnz ~hubs () =
   let rng = Rng.create seed in
-  let entries = ref [] in
+  let e = entries nnz in
   let hub_nnz = nnz / 2 in
   for _ = 1 to hub_nnz do
     let i = Rng.int rng hubs in
-    entries := (i, Rng.int rng cols) :: !entries
+    push e i (Rng.int rng cols)
   done;
   for _ = 1 to nnz - hub_nnz do
-    entries := (hubs + Rng.int rng (rows - hubs), Rng.int rng cols) :: !entries
+    let j = Rng.int rng cols in
+    push e (hubs + Rng.int rng (rows - hubs)) j
   done;
-  of_rowcols ~rows ~cols !entries rng
+  of_entries ~rows ~cols e rng
 
 (* --- Spec-string constructor ---------------------------------------- *)
 
@@ -203,7 +225,9 @@ let spec_grammar =
    tensor3:<d1>,<d2>,<d3>,<nnz>  (each optionally @<seed>, default 1)"
 
 (** [of_spec s] builds the matrix named by spec string [s]; [Error]
-    carries the expected grammar. *)
+    carries the expected grammar — also when an argument is out of the
+    family's range, instead of an exception (or a silently degenerate
+    matrix) deep inside a generator. *)
 let of_spec (spec : string) : (Coo.t, string) result =
   let usage kind = Error ("bad " ^ kind ^ " spec; expected " ^ spec_grammar) in
   let spec, seed =
@@ -215,29 +239,53 @@ let of_spec (spec : string) : (Coo.t, string) result =
           | None -> Error ("bad seed in spec: " ^ seed))
     | _ -> (spec, Error ("bad spec: " ^ spec))
   in
+  let pos what v = if v > 0 then [] else [ what ^ " must be positive" ] in
+  let nonneg what v = if v >= 0 then [] else [ what ^ " must be >= 0" ] in
   match seed with
   | Error e -> Error e
   | Ok seed ->
     (match String.split_on_char ':' spec with
      | [ kind; rest ] ->
+       let build errs gen =
+         match errs with
+         | [] -> Ok (gen ())
+         | errs ->
+           Error
+             (Printf.sprintf "bad %s spec: %s; expected %s" kind
+                (String.concat ", " errs) spec_grammar)
+       in
        let args = List.map int_of_string_opt (String.split_on_char ',' rest) in
-       let all_ok = List.for_all Option.is_some args in
-       if not all_ok then usage kind
+       if not (List.for_all Option.is_some args) then usage kind
        else
          (match (kind, List.map Option.get args) with
           | "powerlaw", [ n; d ] ->
-            Ok (power_law ~seed ~rows:n ~cols:n ~avg_deg:d ~alpha:2.0 ())
-          | "uniform", [ n; nnz ] -> Ok (uniform ~seed ~rows:n ~cols:n ~nnz ())
-          | "banded", [ n; band ] -> Ok (banded ~seed ~n ~band ())
-          | "road", [ n; deg ] -> Ok (road ~seed ~n ~deg ())
-          | "stencil2d", [ side ] -> Ok (stencil_2d ~seed ~side ())
-          | "stencil3d", [ side ] -> Ok (stencil_3d ~seed ~side ())
+            build (pos "n" n @ nonneg "deg" d) (fun () ->
+                power_law ~seed ~rows:n ~cols:n ~avg_deg:d ~alpha:2.0 ())
+          | "uniform", [ n; nnz ] ->
+            build (pos "n" n @ nonneg "nnz" nnz) (fun () ->
+                uniform ~seed ~rows:n ~cols:n ~nnz ())
+          | "banded", [ n; band ] ->
+            build (pos "n" n @ nonneg "band" band) (fun () ->
+                banded ~seed ~n ~band ())
+          | "road", [ n; deg ] ->
+            build (pos "n" n @ nonneg "deg" deg) (fun () ->
+                road ~seed ~n ~deg ())
+          | "stencil2d", [ side ] ->
+            build (pos "side" side) (fun () -> stencil_2d ~seed ~side ())
+          | "stencil3d", [ side ] ->
+            build (pos "side" side) (fun () -> stencil_3d ~seed ~side ())
           | "fem", [ nblocks; blk; reach ] ->
-            Ok (fem_blocks ~seed ~nblocks ~blk ~reach ())
+            build (pos "nblocks" nblocks @ pos "blk" blk @ nonneg "reach" reach)
+              (fun () -> fem_blocks ~seed ~nblocks ~blk ~reach ())
           | "heavytail", [ rows; nnz; hubs ] ->
-            Ok (heavy_tail ~seed ~rows ~cols:rows ~nnz ~hubs ())
+            build
+              (pos "rows" rows @ nonneg "nnz" nnz
+               @ if hubs > 0 && hubs < rows then []
+                 else [ "hubs must be in (0, rows)" ])
+              (fun () -> heavy_tail ~seed ~rows ~cols:rows ~nnz ~hubs ())
           | "tensor3", [ d1; d2; d3; nnz ] ->
-            Ok (tensor3 ~seed ~dims:[| d1; d2; d3 |] ~nnz ())
+            build (pos "d1" d1 @ pos "d2" d2 @ pos "d3" d3 @ nonneg "nnz" nnz)
+              (fun () -> tensor3 ~seed ~dims:[| d1; d2; d3 |] ~nnz ())
           | _ -> usage kind)
      | _ -> Error ("unknown generator spec: " ^ spec ^ "; expected "
                    ^ spec_grammar))

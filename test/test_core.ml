@@ -23,6 +23,11 @@ let check_int = Alcotest.(check int)
 
 let machine = Machine.gracemont_scaled ()
 
+let run ?(machine = machine) ?threads ?binary ?n variant kspec coo =
+  Driver.run
+    (Driver.Cfg.make ?threads ?binary ?n ~machine ~variant ())
+    kspec coo
+
 let small_matrix seed =
   Generate.power_law ~seed ~rows:300 ~cols:300 ~avg_deg:6 ~alpha:2.0 ()
 
@@ -40,7 +45,7 @@ let test_spmv_all_variants_all_formats () =
     (fun enc ->
       List.iter
         (fun (vn, v) ->
-          let r = Driver.spmv machine v enc coo in
+          let r = run v (Driver.Spmv enc) coo in
           let err = Driver.check_spmv coo r in
           check
             (Printf.sprintf "spmv %s/%s" enc.Encoding.name vn)
@@ -52,7 +57,7 @@ let test_spmv_wide_indices () =
   (* 64-bit index buffers (paper §4.2) change addressing, not semantics. *)
   let coo = small_matrix 12 in
   let enc = Encoding.csr ~width:Encoding.W64 () in
-  let r = Driver.spmv machine (Pipeline.Asap Asap.default) enc coo in
+  let r = run (Pipeline.Asap Asap.default) (Driver.Spmv enc) coo in
   check "w64 correct" true (Driver.check_spmv coo r < 1e-9);
   (* Wider indices double the crd traffic footprint. *)
   let st32 =
@@ -67,7 +72,7 @@ let test_spmm_all_variants () =
   let coo = small_matrix 2 in
   List.iter
     (fun (vn, v) ->
-      let r = Driver.spmm machine v (Encoding.csr ()) ~n:4 coo in
+      let r = run ~n:4 v (Driver.Spmm (Encoding.csr ())) coo in
       check ("spmm " ^ vn) true (Driver.check_spmm coo ~n:4 r < 1e-9))
     variants
 
@@ -75,23 +80,25 @@ let test_spmv_binary () =
   let coo = small_matrix 3 in
   List.iter
     (fun (vn, v) ->
-      let r = Driver.spmv ~binary:true machine v (Encoding.csr ()) coo in
+      let r = run ~binary:true v (Driver.Spmv (Encoding.csr ())) coo in
       check ("binary spmv " ^ vn) true (Driver.check_spmv coo r = 0.))
     variants
 
 let test_spmm_binary () =
   let coo = small_matrix 4 in
-  let r = Driver.spmm ~binary:true machine Pipeline.Baseline (Encoding.csr ())
-      ~n:16 coo
+  let r =
+    run ~binary:true ~n:16 Pipeline.Baseline (Driver.Spmm (Encoding.csr ()))
+      coo
   in
   check "binary spmm" true (Driver.check_spmm coo ~n:16 r = 0.)
 
 let test_spmv_parallel_matches () =
   let coo = small_matrix 5 in
   let m4 = Machine.gracemont_scaled ~cores:4 () in
-  let r1 = Driver.spmv machine Pipeline.Baseline (Encoding.csr ()) coo in
+  let r1 = run Pipeline.Baseline (Driver.Spmv (Encoding.csr ())) coo in
   let r4 =
-    Driver.spmv ~threads:4 m4 Pipeline.Baseline (Encoding.csr ()) coo
+    run ~threads:4 ~machine:m4 Pipeline.Baseline
+      (Driver.Spmv (Encoding.csr ())) coo
   in
   check "parallel correct" true (Driver.check_spmv coo r4 < 1e-9);
   check "parallel cycles less" true
@@ -102,7 +109,8 @@ let test_parallel_rejects_compressed_outer () =
   let m4 = Machine.gracemont_scaled ~cores:4 () in
   (try
      let (_ : Driver.result) =
-       Driver.spmv ~threads:4 m4 Pipeline.Baseline (Encoding.dcsr ()) coo
+       run ~threads:4 ~machine:m4 Pipeline.Baseline
+         (Driver.Spmv (Encoding.dcsr ())) coo
      in
      Alcotest.fail "dense-outer-loop must require a dense top level"
    with Invalid_argument _ -> ())
@@ -115,9 +123,9 @@ let test_asap_speedup_memory_bound () =
     Generate.power_law ~seed:42 ~rows:150_000 ~cols:150_000 ~avg_deg:5
       ~alpha:1.9 ()
   in
-  let base = Driver.spmv machine Pipeline.Baseline (Encoding.csr ()) coo in
+  let base = run Pipeline.Baseline (Driver.Spmv (Encoding.csr ())) coo in
   let asap =
-    Driver.spmv machine (Pipeline.Asap Asap.default) (Encoding.csr ()) coo
+    run (Pipeline.Asap Asap.default) (Driver.Spmv (Encoding.csr ())) coo
   in
   check "correct" true (Driver.check_spmv coo asap < 1e-9);
   let sp = Driver.throughput asap /. Driver.throughput base in
@@ -131,9 +139,9 @@ let test_asap_speedup_memory_bound () =
    paper reports up to ~10-20% slowdown in the compute-bound regime). *)
 let test_asap_overhead_bounded () =
   let coo = Generate.banded ~seed:43 ~n:20_000 ~band:2 () in
-  let base = Driver.spmv machine Pipeline.Baseline (Encoding.csr ()) coo in
+  let base = run Pipeline.Baseline (Driver.Spmv (Encoding.csr ())) coo in
   let asap =
-    Driver.spmv machine (Pipeline.Asap Asap.default) (Encoding.csr ()) coo
+    run (Pipeline.Asap Asap.default) (Driver.Spmv (Encoding.csr ())) coo
   in
   let ratio = Driver.throughput asap /. Driver.throughput base in
   check (Printf.sprintf "overhead bounded (got %.2f)" ratio) true
@@ -149,12 +157,12 @@ let test_semantic_bound_beats_segment_local_on_short_rows () =
   in
   let enc = Encoding.csr () in
   let sem =
-    Driver.spmv machine (Pipeline.Asap Asap.default) enc coo
+    run (Pipeline.Asap Asap.default) (Driver.Spmv enc) coo
   in
   let seg =
-    Driver.spmv machine
+    run
       (Pipeline.Asap { Asap.default with Asap.bound_mode = Asap.Segment_local })
-      enc coo
+      (Driver.Spmv enc) coo
   in
   check "semantic >= segment-local on short rows" true
     (Driver.throughput sem >= Driver.throughput seg)
@@ -248,7 +256,7 @@ let test_ttv_all_variants () =
   in
   List.iter
     (fun (vn, v) ->
-      let r = Driver.ttv machine v coo in
+      let r = run v (Driver.Ttv None) coo in
       check ("ttv " ^ vn) true (Driver.check_ttv coo r < 1e-9))
     variants
 
@@ -292,15 +300,19 @@ let test_passes_preserve_spmv () =
   let a = run c.Pipeline.fn and b = run fn2 in
   check "passes preserve results" true (a = b)
 
-let test_pipeline_optimize_flag () =
+(* A variant's spec extended with the fold,licm tail verifies and, run
+   end to end, still matches the dense reference. *)
+let test_pipeline_fold_licm_tail () =
   let coo = small_matrix 11 in
   let enc = Encoding.csr () in
+  let v = Pipeline.Asap Asap.default in
+  let pipeline = Pipeline.spec_of_variant v ^ ",fold,licm" in
+  let c = Pipeline.compile ~pipeline (Asap_lang.Kernel.spmv ~enc ()) v in
+  check "optimized IR verifies" true
+    (Asap_ir.Verify.check_result c.Pipeline.fn = Ok ());
   let r =
-    let k = Asap_lang.Kernel.spmv ~enc () in
-    let c = Pipeline.compile ~optimize:true k (Pipeline.Asap Asap.default) in
-    check "optimized IR verifies" true
-      (Asap_ir.Verify.check_result c.Pipeline.fn = Ok ());
-    Driver.spmv machine (Pipeline.Asap Asap.default) enc coo
+    Driver.run (Driver.Cfg.make ~pipeline ~machine ~variant:v ())
+      (Driver.Spmv enc) coo
   in
   check "still correct" true (Driver.check_spmv coo r < 1e-9)
 
@@ -537,7 +549,7 @@ let test_tuning_jobs_invariant () =
             (d1.Asap_core.Tuning.chosen = d4.Asap_core.Tuning.chosen);
           check (label ^ ": identical profile") true
             (d1.Asap_core.Tuning.profile = d4.Asap_core.Tuning.profile))
-        [ `Interp; `Compiled ])
+        [ `Interp; `Bytecode ])
     [ ("csr", Encoding.csr ()); ("csc", Encoding.csc ()) ]
 
 let test_suite_structure () =
@@ -583,8 +595,8 @@ let suite =
     Alcotest.test_case "ttv csf bound chain" `Quick test_ttv_sites_and_bounds;
     Alcotest.test_case "licm+fold preserve spmv" `Quick
       test_passes_preserve_spmv;
-    Alcotest.test_case "pipeline optimize flag" `Quick
-      test_pipeline_optimize_flag;
+    Alcotest.test_case "pipeline fold+licm tail" `Quick
+      test_pipeline_fold_licm_tail;
     Alcotest.test_case "pipeline names" `Quick test_pipeline_names;
     Alcotest.test_case "reference spmv" `Quick test_reference_spmv;
     Alcotest.test_case "reference spmm" `Quick test_reference_spmm;
@@ -631,7 +643,7 @@ let qcheck_spmv_equivalence =
       let coo = Coo.of_triples ~rows ~cols entries in
       let enc = List.nth (encodings ()) enc_i in
       let _, v = List.nth variants var_i in
-      let r = Driver.spmv machine v enc coo in
+      let r = run v (Driver.Spmv enc) coo in
       Driver.check_spmv coo r < 1e-9)
 
 let suite = suite @ [ QCheck_alcotest.to_alcotest qcheck_spmv_equivalence ]

@@ -1,12 +1,11 @@
-(* Differential tests for the staged execution engines — the closure
-   compiler (Compile) and the flat-bytecode engine (Bytecode) — against
-   the tree-walking interpreter (Interp): all three must agree
-   cycle-exactly and value-exactly on every kernel, format and prefetch
-   variant, single- and multi-core, and must raise identical traps and
-   faults on the same inputs. The bytecode engine's superinstruction
-   fusion is additionally checked fused-vs-unfused. Also checks that the
-   benchmark grid's domain-parallel prewarm reproduces sequential
-   measurements bit for bit. *)
+(* Differential tests for the flat-bytecode engine (Bytecode) against the
+   tree-walking interpreter (Interp): the two must agree cycle-exactly and
+   value-exactly on every kernel, format and prefetch variant, single-
+   and multi-core, and must raise identical traps and faults on the same
+   inputs. The bytecode engine's superinstruction fusion is additionally
+   checked fused-vs-unfused. Also checks that the benchmark grid's
+   domain-parallel prewarm reproduces sequential measurements bit for
+   bit. *)
 
 module Ir = Asap_ir.Ir
 module Builder = Asap_ir.Builder
@@ -53,12 +52,15 @@ let same_result name (a : Driver.result) (b : Driver.result) =
   check (name ^ ": out_f") true (a.Driver.out_f = b.Driver.out_f);
   check (name ^ ": out_b") true (a.Driver.out_b = b.Driver.out_b)
 
-(* Run [f] under all three engines and require both staged engines to
+(* Run [f] under both engines and require the bytecode engine to
    reproduce the interpreter exactly. *)
-let three_way name (f : Exec.engine -> Driver.result) =
-  let r_i = f `Interp in
-  same_result (name ^ " compiled") r_i (f `Compiled);
-  same_result (name ^ " bytecode") r_i (f `Bytecode)
+let two_way name (f : Exec.engine -> Driver.result) =
+  same_result (name ^ " bytecode") (f `Interp) (f `Bytecode)
+
+let run ?(machine = machine) ?engine ?threads ?binary ?n variant kspec coo =
+  Driver.run
+    (Driver.Cfg.make ?engine ?threads ?binary ?n ~machine ~variant ())
+    kspec coo
 
 let test_differential_spmv () =
   let coo = small_matrix 21 in
@@ -66,9 +68,9 @@ let test_differential_spmv () =
     (fun enc ->
       List.iter
         (fun (vn, v) ->
-          three_way
+          two_way
             (Printf.sprintf "spmv %s/%s" enc.Encoding.name vn)
-            (fun engine -> Driver.spmv ~engine machine v enc coo))
+            (fun engine -> run ~engine v (Driver.Spmv enc) coo))
         variants)
     (encodings ())
 
@@ -78,9 +80,9 @@ let test_differential_spmm () =
     (fun enc ->
       List.iter
         (fun (vn, v) ->
-          three_way
+          two_way
             (Printf.sprintf "spmm %s/%s" enc.Encoding.name vn)
-            (fun engine -> Driver.spmm ~engine ~n:4 machine v enc coo))
+            (fun engine -> run ~engine ~n:4 v (Driver.Spmm enc) coo))
         variants)
     (encodings ())
 
@@ -88,8 +90,8 @@ let test_differential_binary () =
   let coo = small_matrix 23 in
   List.iter
     (fun (vn, v) ->
-      three_way ("binary spmv " ^ vn) (fun engine ->
-          Driver.spmv ~engine ~binary:true machine v (Encoding.csr ()) coo))
+      two_way ("binary spmv " ^ vn) (fun engine ->
+          run ~engine ~binary:true v (Driver.Spmv (Encoding.csr ())) coo))
     variants
 
 let test_differential_ttv () =
@@ -98,7 +100,7 @@ let test_differential_ttv () =
   in
   List.iter
     (fun (vn, v) ->
-      three_way ("ttv " ^ vn) (fun engine -> Driver.ttv ~engine machine v coo))
+      two_way ("ttv " ^ vn) (fun engine -> run ~engine v (Driver.Ttv None) coo))
     variants
 
 let test_differential_multicore () =
@@ -108,12 +110,13 @@ let test_differential_multicore () =
   let machine4 = Machine.gracemont_scaled ~cores:4 () in
   List.iter
     (fun (vn, v) ->
-      let run engine =
-        Driver.spmv ~engine ~threads:4 machine4 v (Encoding.csr ()) coo
+      let run4 engine =
+        run ~machine:machine4 ~engine ~threads:4 v
+          (Driver.Spmv (Encoding.csr ())) coo
       in
-      three_way ("multicore spmv " ^ vn) run;
+      two_way ("multicore spmv " ^ vn) run4;
       check ("multicore " ^ vn ^ ": 4 threads") true
-        ((run `Bytecode).Driver.report.Asap_sim.Exec.rp_threads = 4))
+        ((run4 `Bytecode).Driver.report.Asap_sim.Exec.rp_threads = 4))
     variants
 
 let test_multicore_deterministic () =
@@ -122,10 +125,25 @@ let test_multicore_deterministic () =
   let coo = small_matrix 26 in
   let machine4 = Machine.gracemont_scaled ~cores:4 () in
   let v = Pipeline.Asap { Asap.default with Asap.distance = 8 } in
-  let run () =
-    Driver.spmv ~threads:4 machine4 v (Encoding.csr ()) coo
+  let run4 () =
+    run ~machine:machine4 ~threads:4 v (Driver.Spmv (Encoding.csr ())) coo
   in
-  same_result "multicore repeat" (run ()) (run ())
+  same_result "multicore repeat" (run4 ()) (run4 ())
+
+(* --- Engine names ----------------------------------------------------- *)
+
+let test_engine_names () =
+  (* Two engines remain; the retired closure engine's names no longer
+     parse, and every canonical name round-trips. *)
+  check_s "valid engines" "interp|bytecode" Exec.valid_engines;
+  List.iter
+    (fun n -> check (n ^ " rejected") true (Exec.engine_of_string n = None))
+    [ "compiled"; "compile"; "closure" ];
+  List.iter
+    (fun e ->
+      check "name round-trips" true
+        (Exec.engine_of_string (Exec.engine_to_string e) = Some e))
+    [ `Interp; `Bytecode ]
 
 (* --- Traps and faults ------------------------------------------------- *)
 
@@ -144,7 +162,7 @@ let same_outcome name expected fn mk_bufs scalars =
         (Printf.sprintf "%s (%s)" name (Exec.engine_to_string engine))
         expected
         (outcome_of engine fn ~bufs:(mk_bufs ()) ~scalars))
-    [ `Interp; `Compiled; `Bytecode ]
+    [ `Interp; `Bytecode ]
 
 let test_trap_fault_parity () =
   (* Division by zero inside a loop body. *)
@@ -255,13 +273,10 @@ let test_carried_values () =
     (r, out)
   in
   let r_i, out_i = run `Interp in
-  let r_c, out_c = run `Compiled in
   let r_b, out_b = run `Bytecode in
   (* (0.25 + 8.0) doubled 4 times, and the counter drained to 0. *)
   check "carried: expected value" true (out_i = [| 132.; 0. |]);
-  check "carried: compiled report" true (r_i = r_c);
   check "carried: bytecode report" true (r_i = r_b);
-  check "carried: compiled out" true (out_i = out_c);
   check "carried: bytecode out" true (out_i = out_b)
 
 (* --- Superinstruction fusion ------------------------------------------ *)
@@ -320,18 +335,17 @@ let run_pipeline ?pipeline engine v coo =
 
 let test_differential_pipeline () =
   (* Every registered IR pass, alone and in the default optimisation
-     stack, must be three-way cycle-exact — and, being non-semantic
+     stack, must be cycle-exact across engines — and, being non-semantic
      rewrites, value-exact against the unpiped baseline. *)
   let coo = small_matrix 28 in
   let pipelines =
     [ "sparsify,fold"; "sparsify,licm"; "sparsify,unroll{f=4}";
-      "sparsify,slack";
-      "sparsify,asap{d=8},fold,licm,unroll{f=2},slack";
+      "sparsify,asap{d=8},fold,licm,unroll{f=2}";
       "sparsify,aj{d=8},fold,licm" ]
   in
   List.iter
     (fun p ->
-      three_way ("pipeline " ^ p) (fun engine ->
+      two_way ("pipeline " ^ p) (fun engine ->
           run_pipeline ~pipeline:p engine Pipeline.Baseline coo))
     pipelines;
   let base = run_pipeline `Interp Pipeline.Baseline coo in
@@ -356,7 +370,7 @@ let test_pipeline_matches_variant () =
                (Asap_sim.Exec.engine_to_string engine))
             (run_pipeline engine v coo)
             (run_pipeline ~pipeline:spec engine v coo))
-        [ `Interp; `Compiled; `Bytecode ])
+        [ `Interp; `Bytecode ])
     variants
 
 (* --- Parallel benchmark grid ----------------------------------------- *)
@@ -423,6 +437,7 @@ let suite =
       test_differential_multicore;
     Alcotest.test_case "multicore deterministic" `Quick
       test_multicore_deterministic;
+    Alcotest.test_case "engine names" `Quick test_engine_names;
     Alcotest.test_case "trap and fault parity" `Quick test_trap_fault_parity;
     Alcotest.test_case "carried values" `Quick test_carried_values;
     Alcotest.test_case "fusion cycle-exact" `Quick test_fusion_cycle_exact;

@@ -213,11 +213,11 @@ let test_byte_buffer_ops () =
   check_int "masked to 8 bits" ((300 lor 1) land 0xff)
     (Bytes.get_uint8 data 0)
 
-(* --- Randomized three-engine differential harness ---------------------
+(* --- Randomized two-engine differential harness -----------------------
 
    Random sparse matrices — varying density, bandedness, empty rows and
    columns, degenerate 1xN / Nx1 and nnz = 0 shapes — are driven through
-   every (kernel x format x variant) triple under all three execution
+   every (kernel x format x variant) triple under both execution
    engines.  Structural equality of reports and outputs is the whole
    cycle- and value-exactness contract at once (cycles, instruction mix,
    every cache counter, float summation order — see test_engine.ml); the
@@ -318,14 +318,18 @@ let run_cell (mseed, (kname, kernel), enc, (vname, v)) =
     Printf.sprintf "%s/%s/%s m%d [%dx%d nnz=%d]" kname enc.Encoding.name
       vname mseed coo.Coo.dims.(0) coo.Coo.dims.(1) (Coo.nnz coo)
   in
-  let f engine =
+  let n, kspec =
     match kernel with
-    | `Spmv -> Driver.spmv ~engine diff_machine v enc coo
-    | `Spmm -> Driver.spmm ~engine ~n:3 diff_machine v enc coo
-    | `Sddmm -> Driver.sddmm ~engine ~kk:5 diff_machine v enc coo
+    | `Spmv -> (None, Driver.Spmv enc)
+    | `Spmm -> (Some 3, Driver.Spmm enc)
+    | `Sddmm -> (Some 5, Driver.Sddmm enc)
+  in
+  let f engine =
+    Driver.run
+      (Driver.Cfg.make ~engine ?n ~machine:diff_machine ~variant:v ())
+      kspec coo
   in
   let r_i = f `Interp in
-  same_result (name ^ " compiled") r_i (f `Compiled);
   same_result (name ^ " bytecode") r_i (f `Bytecode);
   let err =
     match kernel with

@@ -1,7 +1,7 @@
 (* Pass-pipeline subsystem tests: spec syntax and error positions,
    registry validation (unknown passes/parameters, duplicate
-   registration, schema checks), canonical forms, the deprecated
-   [?optimize] alias, and the pass.<name>.* runner counters. *)
+   registration, schema checks), canonical forms, variant specs, and the
+   pass.<name>.* runner counters. *)
 
 module Spec = Asap_pass.Spec
 module Pass = Asap_pass.Pass
@@ -163,27 +163,36 @@ let test_canonical () =
     (Runner.canonical_of_string "sparsify,asap{l=2,d=16}"
      = Runner.canonical_of_string "sparsify,asap{d=16,l=2}")
 
-(* --- Variant specs and the ?optimize alias ---------------------------- *)
+(* --- Variant specs ------------------------------------------------------ *)
 
-let test_optimize_alias () =
+let test_variant_specs () =
   let enc = Encoding.csr () in
   let k = Kernel.spmv ~enc () in
   check_s "baseline spec" "sparsify" (Pipeline.spec_of_variant Pipeline.Baseline);
   let asap_v = Pipeline.Asap { Asap.default with Asap.distance = 8 } in
-  check "optimize alias appends fold,licm" true
-    (let s = Pipeline.spec_of_variant ~optimize:true asap_v in
-     contains s ",fold,licm" && contains s "asap{d=8,");
+  check "asap spec names its distance" true
+    (contains (Pipeline.spec_of_variant asap_v) "sparsify,asap{d=8,");
   List.iter
     (fun v ->
-      let via_flag = Pipeline.compile ~optimize:true k v in
-      let via_spec =
-        Pipeline.compile
-          ~pipeline:(Pipeline.spec_of_variant ~optimize:true v) k v
+      (* The variant's own spec, explicit, is the implicit pipeline... *)
+      let implicit = Pipeline.compile k v in
+      let explicit =
+        Pipeline.compile ~pipeline:(Pipeline.spec_of_variant v) k v
       in
-      check_s "alias IR byte-identical" (Pipeline.listing via_flag)
-        (Pipeline.listing via_spec);
-      check_int "alias sites agree" via_flag.Pipeline.n_prefetch_sites
-        via_spec.Pipeline.n_prefetch_sites)
+      check_s "explicit spec IR byte-identical" (Pipeline.listing implicit)
+        (Pipeline.listing explicit);
+      (* ...and extending it runs the extra passes after the variant's. *)
+      let tailed =
+        Pipeline.compile ~pipeline:(Pipeline.spec_of_variant v ^ ",fold,licm")
+          k v
+      in
+      let fn, _ =
+        Asap_ir.Licm.run (fst (Asap_ir.Fold.run implicit.Pipeline.fn))
+      in
+      check_s "fold,licm tail = passes applied after"
+        (Asap_ir.Printer.to_string fn) (Pipeline.listing tailed);
+      check_int "tail keeps the sites" implicit.Pipeline.n_prefetch_sites
+        tailed.Pipeline.n_prefetch_sites)
     [ Pipeline.Baseline; asap_v;
       Pipeline.Ainsworth_jones { Aj.default with Aj.distance = 8 } ]
 
@@ -289,5 +298,5 @@ let suite =
       test_register_duplicate;
     Alcotest.test_case "registration schema" `Quick test_register_schema;
     Alcotest.test_case "canonical forms" `Quick test_canonical;
-    Alcotest.test_case "optimize alias" `Quick test_optimize_alias;
+    Alcotest.test_case "variant specs" `Quick test_variant_specs;
     Alcotest.test_case "runner counters" `Quick test_runner_counters ]

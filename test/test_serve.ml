@@ -105,6 +105,29 @@ let test_request_errors () =
      Alcotest.fail "accepted ttv over csr"
    with Invalid_argument _ -> ())
 
+(* The retired closure engine is a labelled per-request error naming the
+   engines that remain; the remaining names still parse. *)
+let test_retired_engine_rejected () =
+  let line e =
+    Printf.sprintf
+      {| {"id":"x","kernel":"spmv","matrix":"powerlaw:400,5","engine":"%s"} |}
+      e
+  in
+  List.iter
+    (fun e ->
+      match Request.of_line (line e) with
+      | Ok _ -> Alcotest.failf "engine %S accepted" e
+      | Error m ->
+        check ("error names the engines: " ^ m) true
+          (Astring_contains.contains m Exec.valid_engines
+           && Astring_contains.contains m "interp|bytecode"))
+    [ "compiled"; "closure" ];
+  List.iter
+    (fun e ->
+      check ("engine " ^ e ^ " parses") true
+        (Result.is_ok (Request.of_line (line e))))
+    [ "interp"; "bytecode" ]
+
 (* --- Pipeline specs in serve ------------------------------------------- *)
 
 let test_request_pipeline () =
@@ -557,25 +580,25 @@ let test_fleet_jobs_invariant () =
   in
   check "several shards served" true (List.length active >= 2)
 
-(* The deprecated single-scheduler wrapper must reproduce Scheduler.run
-   over the equivalent one-shard Config byte-for-byte. *)
-module Compat = struct
-  [@@@ocaml.alert "-deprecated"]
-
-  let replay_default reqs = Scheduler.replay Scheduler.default_cfg reqs
-end
-
-let test_deprecated_replay_compat () =
+(* The default configuration is the classic one-shard scheduler — 2
+   servers, queue 64, cache 128, 0.05 ms compile penalty, batching on,
+   sequential build: its records carry trivial fleet fields and are
+   reproducible run to run. *)
+let test_default_one_shard () =
+  let d = Config.default in
+  check "classic scheduler shape" true
+    (d.Config.shards = 1 && d.Config.servers = 2 && d.Config.queue_limit = 64
+     && d.Config.cache_capacity = 128 && d.Config.compile_ms = 0.05
+     && d.Config.batching && d.Config.jobs = 1);
   let reqs = Mix.hot_cold ~seed:5 ~n:40 (small_profiles ()) in
-  Alcotest.(check (list string)) "replay cfg = run Config (byte)"
-    (lines (Scheduler.run Config.default reqs))
-    (lines (Compat.replay_default reqs));
-  (* One-shard records carry trivial fleet fields. *)
+  let rp = Scheduler.run Config.default reqs in
+  Alcotest.(check (list string)) "default replay deterministic (byte)"
+    (lines rp) (lines (Scheduler.run Config.default reqs));
   Array.iter
     (fun (r : Scheduler.record) ->
       check "one shard" true (r.Scheduler.r_shard = 0);
       check "never stolen" true (not r.Scheduler.r_stolen))
-    (Compat.replay_default reqs).Scheduler.rp_records
+    rp.Scheduler.rp_records
 
 let test_work_stealing () =
   (* Twenty same-fingerprint requests all route to one home shard; with
@@ -952,6 +975,8 @@ let suite =
       test_update_versioning_order;
     Alcotest.test_case "request fingerprint" `Quick test_request_fingerprint;
     Alcotest.test_case "request errors" `Quick test_request_errors;
+    Alcotest.test_case "retired engine rejected" `Quick
+      test_retired_engine_rejected;
     Alcotest.test_case "request pipeline" `Quick test_request_pipeline;
     Alcotest.test_case "replay tenant pipelines" `Slow
       test_replay_tenant_pipelines;
@@ -977,8 +1002,8 @@ let suite =
     Alcotest.test_case "prep exec stable" `Quick test_prep_exec_stable;
     Alcotest.test_case "router stability" `Quick test_router_stability;
     Alcotest.test_case "fleet jobs-invariant" `Slow test_fleet_jobs_invariant;
-    Alcotest.test_case "deprecated replay compat" `Slow
-      test_deprecated_replay_compat;
+    Alcotest.test_case "default one-shard replay" `Slow
+      test_default_one_shard;
     Alcotest.test_case "work stealing" `Quick test_work_stealing;
     Alcotest.test_case "tenant quota" `Quick test_tenant_quota;
     Alcotest.test_case "tenant quota under zipf" `Slow test_tenant_quota_zipf;

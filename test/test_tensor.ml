@@ -697,6 +697,99 @@ let test_dense () =
   check "copy independent" true (Dense.get2 d 1 2 = 9.);
   check "max_abs_diff" true (Dense.max_abs_diff d e = 9.)
 
+(* --- Generator specs --------------------------------------------------- *)
+
+module Generate = Asap_workloads.Generate
+
+(* Digest of a generated tensor's shape, coordinates and value bits. *)
+let coo_digest (c : Coo.t) =
+  let b = Buffer.create 4096 in
+  Array.iter (fun d -> Buffer.add_string b (string_of_int d ^ ";")) c.Coo.dims;
+  Array.iter
+    (fun a ->
+      Array.iter (fun x -> Buffer.add_string b (string_of_int x ^ ",")) a;
+      Buffer.add_char b '|')
+    c.Coo.crd;
+  Array.iter
+    (fun v ->
+      Buffer.add_string b (Int64.to_string (Int64.bits_of_float v) ^ ","))
+    c.Coo.vals;
+  Digest.to_hex (Digest.string (Buffer.contents b))
+
+(* Every generator family at two seeds, pinned bit for bit: seeds name
+   matrices (cache fingerprints rely on it), so a generator rewrite must
+   reproduce each entry order and value draw exactly. *)
+let generator_digests =
+  [ ("powerlaw:500,6@1", "902c2b7ab3aed1dfe4c6a5435405c23e");
+    ("powerlaw:500,6@42", "238a5227135295f787b3e810214ffb1a");
+    ("uniform:300,2000@1", "8b112d5a55e0047b8b4dd7bcccf10b62");
+    ("uniform:300,2000@42", "b786cc9de6fcd4ecbf79b4e4a713256a");
+    ("banded:200,3@1", "d6b5d9b9bb1249594b8bcf6125f117b5");
+    ("banded:200,3@42", "14d466aef726ac4c9441de63f6a73805");
+    ("road:400,4@1", "dc78eae5f3f705eb2001193854b128a1");
+    ("road:400,4@42", "60924cd0f5931dd0cd9dd88a647161a0");
+    ("stencil2d:12@1", "f8c2a7457f8c31f225be62b46863b0df");
+    ("stencil2d:12@42", "966c47cd8695426e7bd319df91984c6f");
+    ("stencil3d:6@1", "ab91c08c3932c0fe42721bcfa91956f1");
+    ("stencil3d:6@42", "2226057ce044724b5ffcec796021eddd");
+    ("fem:10,3,2@1", "2a736146bb0dfd4acecc3947b2ce4884");
+    ("fem:10,3,2@42", "1965c9ef2ab9aa3eb0f6d3ae94d38240");
+    ("heavytail:300,1500,4@1", "378ee343ba21b377b9b49e557f291e20");
+    ("heavytail:300,1500,4@42", "2638f19c3c66f184619f5e98c47904f2");
+    ("tensor3:20,15,10,800@1", "a7f596cf195ec36a9f559dbb71125f47");
+    ("tensor3:20,15,10,800@42", "3259c52da75e64adae1233d67a0306aa") ]
+
+let test_generator_digests () =
+  List.iter
+    (fun (spec, digest) ->
+      match Generate.of_spec spec with
+      | Ok c -> Alcotest.(check string) spec digest (coo_digest c)
+      | Error e -> Alcotest.failf "%s: %s" spec e)
+    generator_digests
+
+(* Out-of-range arguments are labelled errors carrying the grammar, never
+   an escaped exception or a degenerate matrix. *)
+let test_generator_bad_specs () =
+  List.iter
+    (fun (spec, what) ->
+      match Generate.of_spec spec with
+      | Ok _ -> Alcotest.failf "%s accepted" spec
+      | Error m ->
+        check (spec ^ ": " ^ m) true
+          (Astring_contains.contains m what
+           && Astring_contains.contains m Generate.spec_grammar)
+      | exception e ->
+        Alcotest.failf "%s raised %s" spec (Printexc.to_string e))
+    [ ("uniform:0,10", "n must be positive");
+      ("uniform:10,-1", "nnz must be >= 0");
+      ("powerlaw:-5,4", "n must be positive");
+      ("powerlaw:50,-1", "deg must be >= 0");
+      ("banded:0,2", "n must be positive");
+      ("banded:10,-1", "band must be >= 0");
+      ("road:0,3", "n must be positive");
+      ("road:10,-3", "deg must be >= 0");
+      ("stencil2d:-1", "side must be positive");
+      ("stencil2d:0", "side must be positive");
+      ("stencil3d:0", "side must be positive");
+      ("fem:0,2,1", "nblocks must be positive");
+      ("fem:3,0,1", "blk must be positive");
+      ("fem:3,2,-1", "reach must be >= 0");
+      ("heavytail:10,100,20", "hubs must be in (0, rows)");
+      ("heavytail:10,100,10", "hubs must be in (0, rows)");
+      ("heavytail:10,100,0", "hubs must be in (0, rows)");
+      ("heavytail:0,100,1", "rows must be positive");
+      ("heavytail:10,-1,2", "nnz must be >= 0");
+      ("tensor3:0,2,2,5", "d1 must be positive");
+      ("tensor3:2,2,0,5", "d3 must be positive");
+      ("tensor3:2,2,2,-5", "nnz must be >= 0");
+      ("uniform:10", "bad uniform spec") ];
+  (* The boundaries themselves are valid. *)
+  List.iter
+    (fun spec ->
+      check (spec ^ " accepted") true (Result.is_ok (Generate.of_spec spec)))
+    [ "uniform:1,0"; "banded:1,0"; "stencil2d:1"; "heavytail:2,0,1";
+      "fem:1,1,0"; "tensor3:1,1,1,0"; "road:1,0"; "powerlaw:1,0" ]
+
 let suite =
   [ Alcotest.test_case "coo bounds" `Quick test_coo_create_bounds;
     Alcotest.test_case "coo sorted_dedup" `Quick test_coo_sorted_dedup;
@@ -738,4 +831,6 @@ let suite =
       test_mm_generated_roundtrip;
     QCheck_alcotest.to_alcotest qcheck_mm_mutated;
     QCheck_alcotest.to_alcotest qcheck_mm_garbage;
+    Alcotest.test_case "generator digests" `Quick test_generator_digests;
+    Alcotest.test_case "generator bad specs" `Quick test_generator_bad_specs;
     Alcotest.test_case "dense tensor" `Quick test_dense ]

@@ -9,43 +9,50 @@ module Storage = Asap_tensor.Storage
 module Encoding = Asap_tensor.Encoding
 module Kernel = Asap_lang.Kernel
 module Runtime = Asap_sim.Runtime
-module Interp = Asap_sim.Interp
 module Trace = Asap_sim.Trace
 module Pipeline = Asap_core.Pipeline
+module Driver = Asap_core.Driver
 module Bindings = Asap_core.Bindings
 module Asap = Asap_prefetch.Asap
 module Generate = Asap_workloads.Generate
 open Asap_ir
 
 let check = Alcotest.(check bool)
+let machine = Asap_sim.Machine.gracemont_scaled ()
 
-(* Run CSR SpMV under [variant] and return the coverage of c's lines by
-   software prefetches, plus the raw trace. *)
-let spmv_coverage coo variant =
+(* Run CSR SpMV under [variant] with a trace sink on the hierarchy and
+   return the trace plus the simulated address range of the dense
+   operand c. Every software prefetch reaches the sink, issued or not,
+   and a single core emits events in program order, so coverage at
+   [late:0] depends only on that order, not on the timing model. *)
+let traced_spmv coo variant =
   let enc = Encoding.csr () in
   let rows = coo.Coo.dims.(0) and cols = coo.Coo.dims.(1) in
-  let compiled = Pipeline.compile (Kernel.spmv ~enc ()) variant in
-  let st = Storage.pack enc coo in
-  let cvec = Array.init cols (fun j -> float_of_int j) in
-  let out = Array.make rows 0. in
-  let dense = [ ("c", Runtime.RF cvec); ("a", Runtime.RF out) ] in
-  let bufs = Bindings.storage_bufs compiled.Pipeline.cc st ~binary:false ~dense in
-  let scalars =
-    Bindings.scalar_args compiled.Pipeline.cc ~extents:[| rows; cols |]
-  in
-  let bound = Runtime.layout compiled.Pipeline.fn bufs in
-  let c_bound =
-    let arr = Array.to_list bound in
-    List.find (fun (b : Runtime.bound) -> b.Runtime.buf.Ir.bname = "c") arr
-  in
   let t = Trace.create () in
-  let mem = Trace.wrap t Trace.free_mem in
-  let (_ : Interp.result) =
-    Interp.run compiled.Pipeline.fn ~bufs:bound ~scalars ~mem
+  let cfg = Driver.Cfg.make ~machine ~variant ~obs:(Trace.sink t) () in
+  let (_ : Driver.result) = Driver.run cfg (Driver.Spmv enc) coo in
+  (* The driver lays out the same buffers the same way: c's range is a
+     function of the compiled kernel and the operand sizes. *)
+  let compiled = Pipeline.compile (Kernel.spmv ~enc ()) variant in
+  let dense =
+    [ ("c", Runtime.RF (Array.make cols 0.));
+      ("a", Runtime.RF (Array.make rows 0.)) ]
+  in
+  let bufs =
+    Bindings.storage_bufs compiled.Pipeline.cc (Storage.pack enc coo)
+      ~binary:false ~dense
+  in
+  let c_bound =
+    List.find (fun (b : Runtime.bound) -> b.Runtime.buf.Ir.bname = "c")
+      (Array.to_list (Runtime.layout compiled.Pipeline.fn bufs))
   in
   let lo = c_bound.Runtime.base in
-  let hi = lo + (Runtime.length_of c_bound.Runtime.data * 8) in
-  Trace.coverage t ~range:(lo, hi) ~line_bytes:64
+  (t, (lo, lo + (Runtime.length_of c_bound.Runtime.data * 8)))
+
+(* Coverage of c's lines by software prefetches. *)
+let spmv_coverage coo variant =
+  let t, range = traced_spmv coo variant in
+  Trace.coverage t ~range ~line_bytes:64
 
 (* Short rows (degree ~3) against distance 8. *)
 let short_row_matrix () =
@@ -89,31 +96,28 @@ let test_segment_bound_undercovers () =
 
 let test_baseline_no_prefetches () =
   let coo = short_row_matrix () in
-  let covered, total = spmv_coverage coo Pipeline.Baseline in
-  check "baseline never prefetches" true (covered = 0 && total > 0)
+  let t, (lo, hi) = traced_spmv coo Pipeline.Baseline in
+  let covered, total = Trace.coverage t ~range:(lo, hi) ~line_bytes:64 in
+  check "baseline never prefetches" true (covered = 0 && total > 0);
+  (* SpMV reads c once per stored non-zero: the range is c's. *)
+  let c_loads =
+    List.length
+      (List.filter
+         (function
+           | Trace.Load { addr; _ } -> addr >= lo && addr < hi
+           | Trace.Store _ | Trace.Prefetch _ -> false)
+         (Trace.events t))
+  in
+  check "one c load per non-zero" true
+    (c_loads = Coo.nnz (Coo.sorted_dedup coo))
 
 let test_trace_event_order () =
   (* Events appear in program order: for ASaP's site the step-1 crd
      prefetch precedes the bounded load which precedes the target
      prefetch, every iteration. *)
   let coo = Coo.of_triples ~rows:2 ~cols:2 [ (0, 0, 1.); (1, 1, 2.) ] in
-  let enc = Encoding.csr () in
-  let compiled =
-    Pipeline.compile (Kernel.spmv ~enc ())
-      (Pipeline.Asap { Asap.default with Asap.distance = 2 })
-  in
-  let st = Storage.pack enc coo in
-  let dense =
-    [ ("c", Runtime.RF [| 1.; 2. |]); ("a", Runtime.RF (Array.make 2 0.)) ]
-  in
-  let bufs = Bindings.storage_bufs compiled.Pipeline.cc st ~binary:false ~dense in
-  let bound = Runtime.layout compiled.Pipeline.fn bufs in
-  let t = Trace.create () in
-  let (_ : Interp.result) =
-    Interp.run compiled.Pipeline.fn ~bufs:bound
-      ~scalars:
-        (Bindings.scalar_args compiled.Pipeline.cc ~extents:[| 2; 2 |])
-      ~mem:(Trace.wrap t Trace.free_mem)
+  let t, _ =
+    traced_spmv coo (Pipeline.Asap { Asap.default with Asap.distance = 2 })
   in
   let prefetches =
     List.filter
@@ -127,32 +131,10 @@ let test_late_cutoff () =
   (* coverage ~late:n only credits prefetches issued at least n time
      units ahead of the first demand touch: monotone non-increasing in n,
      unchanged at 0, and empty once the cutoff exceeds every lead. *)
-  let coo = short_row_matrix () in
-  let variant = Pipeline.Asap { Asap.default with Asap.distance = 8 } in
-  let enc = Encoding.csr () in
-  let rows = coo.Coo.dims.(0) and cols = coo.Coo.dims.(1) in
-  let compiled = Pipeline.compile (Kernel.spmv ~enc ()) variant in
-  let st = Storage.pack enc coo in
-  let dense =
-    [ ("c", Runtime.RF (Array.init cols float_of_int));
-      ("a", Runtime.RF (Array.make rows 0.)) ]
+  let t, range =
+    traced_spmv (short_row_matrix ())
+      (Pipeline.Asap { Asap.default with Asap.distance = 8 })
   in
-  let bufs = Bindings.storage_bufs compiled.Pipeline.cc st ~binary:false ~dense in
-  let bound = Runtime.layout compiled.Pipeline.fn bufs in
-  let c_bound =
-    List.find (fun (b : Runtime.bound) -> b.Runtime.buf.Ir.bname = "c")
-      (Array.to_list bound)
-  in
-  let t = Trace.create () in
-  let (_ : Interp.result) =
-    Interp.run compiled.Pipeline.fn ~bufs:bound
-      ~scalars:
-        (Bindings.scalar_args compiled.Pipeline.cc ~extents:[| rows; cols |])
-      ~mem:(Trace.wrap t Trace.free_mem)
-  in
-  let lo = c_bound.Runtime.base in
-  let hi = lo + (Runtime.length_of c_bound.Runtime.data * 8) in
-  let range = (lo, hi) in
   let cov late = fst (Trace.coverage ~late t ~range ~line_bytes:64) in
   let c0 = fst (Trace.coverage t ~range ~line_bytes:64) in
   check "late:0 = default" true (cov 0 = c0);
@@ -165,26 +147,25 @@ let test_trace_sink () =
      program-order event list, fed by Exec instead of a wrapped port. *)
   let coo = Coo.of_triples ~rows:2 ~cols:2 [ (0, 0, 1.); (1, 1, 2.) ] in
   let enc = Encoding.csr () in
-  let machine = Asap_sim.Machine.gracemont_scaled () in
   let t = Trace.create () in
   let cfg =
-    Asap_core.Driver.Cfg.make ~machine
+    Driver.Cfg.make ~machine
       ~variant:(Pipeline.Asap { Asap.default with Asap.distance = 2 })
       ~obs:(Trace.sink t) ()
   in
-  let r = Asap_core.Driver.run cfg (Asap_core.Driver.Spmv enc) coo in
+  let r = Driver.run cfg (Driver.Spmv enc) coo in
   let events = Trace.events t in
   let count p = List.length (List.filter p events) in
   let module Exec = Asap_sim.Exec in
   check "sink saw every demand load" true
     (count (function Trace.Load _ -> true | _ -> false)
-     = Exec.Report.demand_loads r.Asap_core.Driver.report);
+     = Exec.Report.demand_loads r.Driver.report);
   check "sink saw every store" true
     (count (function Trace.Store _ -> true | _ -> false)
-     = Exec.Report.demand_stores r.Asap_core.Driver.report);
+     = Exec.Report.demand_stores r.Driver.report);
   check "sink saw every sw prefetch" true
     (count (function Trace.Prefetch _ -> true | _ -> false)
-     = Exec.Report.prefetch_instrs r.Asap_core.Driver.report)
+     = Exec.Report.prefetch_instrs r.Driver.report)
 
 let suite =
   [ Alcotest.test_case "semantic bound coverage" `Quick

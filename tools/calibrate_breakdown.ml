@@ -14,7 +14,10 @@ let () =
   let enc = Encoding.csr () in
   let m = Machine.gracemont_scaled ~hw:Machine.hw_optimized () in
   List.iter (fun (n, v) ->
-    let r = Driver.spmv m v enc coo in
+    let r =
+      Driver.run (Driver.Cfg.make ~machine:m ~variant:v ()) (Driver.Spmv enc)
+        coo
+    in
     let rp = r.Driver.report in
     let mem = rp.Exec.rp_mem in
     let nnz = float_of_int r.Driver.nnz in

@@ -21,7 +21,10 @@ let () =
   ] in
   List.iter (fun (n, hw) ->
     let m = Machine.gracemont_scaled ~hw () in
-    let r = Driver.spmv m Pipeline.Baseline enc coo in
+    let r =
+      Driver.run (Driver.Cfg.make ~machine:m ~variant:Pipeline.Baseline ())
+        (Driver.Spmv enc) coo
+    in
     let mem = r.Driver.report.Exec.rp_mem in
     let pf = List.map (fun (pn,c) -> Printf.sprintf "%s:%d" pn c) mem.Hierarchy.st_hw_issued in
     let pfu = List.map (fun (pn,c) -> Printf.sprintf "%s:%d" pn c) mem.Hierarchy.st_hw_useful in

@@ -13,14 +13,18 @@ let () =
     let coo = (Suite.find name).Suite.gen () in
     let m = Machine.gracemont_scaled ~hw:Machine.hw_optimized () in
     let md = Machine.gracemont_scaled ~hw:Machine.hw_default () in
-    let base = Driver.spmv m Pipeline.Baseline enc coo in
+    let run machine variant kspec =
+      Driver.run (Driver.Cfg.make ~machine ~variant ()) kspec coo
+    in
+    let spmv = Driver.Spmv enc and spmm = Driver.Spmm enc in
+    let base = run m Pipeline.Baseline spmv in
     let tpb = Driver.throughput base in
-    let asap = Driver.spmv m (Pipeline.Asap { Asap.default with Asap.distance = d }) enc coo in
-    let asapd = Driver.spmv md (Pipeline.Asap { Asap.default with Asap.distance = d }) enc coo in
-    let aj = Driver.spmv m (Pipeline.Ainsworth_jones { Aj.default with Aj.distance = d }) enc coo in
+    let asap = run m (Pipeline.Asap { Asap.default with Asap.distance = d }) spmv in
+    let asapd = run md (Pipeline.Asap { Asap.default with Asap.distance = d }) spmv in
+    let aj = run m (Pipeline.Ainsworth_jones { Aj.default with Aj.distance = d }) spmv in
     let mspmm = Machine.gracemont_scaled ~hw:Machine.hw_optimized_spmm () in
-    let bm = Driver.spmm mspmm Pipeline.Baseline enc coo in
-    let am = Driver.spmm mspmm (Pipeline.Asap { Asap.default with Asap.strategy = Asap.Outer_only; distance = d }) enc coo in
+    let bm = run mspmm Pipeline.Baseline spmm in
+    let am = run mspmm (Pipeline.Asap { Asap.default with Asap.strategy = Asap.Outer_only; distance = d }) spmm in
     Printf.printf "%-18s spmv: base-mpki %6.1f asap %4.2fx asap-defhw %4.2fx aj %4.2fx | spmm: mpki %5.1f asap %4.2fx\n%!"
       name (Driver.mpki base) (Driver.throughput asap /. tpb)
       (Driver.throughput asapd /. tpb)

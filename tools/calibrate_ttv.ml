@@ -14,7 +14,10 @@ let () =
   let coo = Generate.tensor3 ~seed:5 ~dims:[|300;400;50_000|] ~nnz:400_000 () in
   let m = Machine.gracemont_scaled ~hw:Machine.hw_optimized () in
   List.iter (fun (n, v) ->
-    let r = Driver.ttv m v coo in
+    let r =
+      Driver.run (Driver.Cfg.make ~machine:m ~variant:v ()) (Driver.Ttv None)
+        coo
+    in
     let err = Driver.check_ttv coo r in
     Printf.printf "%-10s tp %8.0f err %g\n%!" n (Driver.throughput r) err)
     [ "baseline", Pipeline.Baseline;

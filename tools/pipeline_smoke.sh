@@ -1,14 +1,14 @@
 #!/usr/bin/env bash
 # Pipeline smoke: run bench/pipeline.exe — Printer/Parse round-trip
-# identity over the kernel x variant grid, plus the unroll{f=4} and
-# slack{max=8} value-exactness checks and the unroll cycle-parity gate
-# on the banded SpMV microbench — and emit BENCH_pipeline.json.
+# identity over the kernel x variant grid, plus the unroll{f=4}
+# value-exactness checks and cycle-parity gate on the banded SpMV
+# microbench — and emit BENCH_pipeline.json.
 #
 # Gates (enforced by pipeline.exe itself, exit 1 on violation):
 #   - every kernel x variant listing round-trips (reprint byte-identical
 #     AND alpha-structurally equal);
-#   - unroll{f=4} and slack{max=8} outputs are bit-identical to the
-#     un-transformed pipeline on every case;
+#   - unroll{f=4} outputs are bit-identical to the un-transformed
+#     pipeline on every case;
 #   - "sparsify,unroll{f=4}" reaches >= MIN_RATIO (default 1.0x,
 #     parity-or-better) of the baseline's virtual cycles.
 #
