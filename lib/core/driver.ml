@@ -40,16 +40,15 @@ module Cfg = struct
     n : int option;                      (* SpMM dense columns *)
     st : Storage.t option;               (* shared pre-packed storage *)
     obs : Asap_obs.Sink.t;               (* event sink (default: off) *)
-    tune_mode : Tuning.mode;             (* how `Tuned decisions are made *)
     pipeline : string option;            (* pass-pipeline spec override *)
     specialize : bool;                   (* AoT-specialize before running *)
   }
 
   let make ?(engine = Exec.default_engine) ?(threads = 1) ?(binary = false)
-      ?n ?st ?(obs = Asap_obs.Sink.null) ?(tune_mode = Tuning.default_mode)
-      ?pipeline ?(specialize = false) ~machine ~variant () =
-    { machine; variant; engine; threads; binary; n; st; obs; tune_mode;
-      pipeline; specialize }
+      ?n ?st ?(obs = Asap_obs.Sink.null) ?pipeline ?(specialize = false)
+      ~machine ~variant () =
+    { machine; variant; engine; threads; binary; n; st; obs; pipeline;
+      specialize }
 end
 
 (* The prefetch distance a variant resolves to — a specialization fact

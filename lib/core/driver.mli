@@ -38,9 +38,6 @@ module Cfg : sig
       (** SpMM dense columns / SDDMM contraction depth *)
     st : Asap_tensor.Storage.t option;   (** shared pre-packed storage *)
     obs : Asap_obs.Sink.t;               (** event sink (default: off) *)
-    tune_mode : Tuning.mode;
-      (** how [`Tuned] variant decisions are made by layers that tune
-          (the serve build path); {!run} itself never tunes *)
     pipeline : string option;
       (** pass-pipeline spec overriding [variant]'s default
           (see {!Pipeline.compile}) *)
@@ -54,12 +51,11 @@ module Cfg : sig
 
   (** [make ~machine ~variant ()] with defaults: [Exec.default_engine],
       one thread, numeric kernels, kernel-specific [n], fresh packing, no
-      observability, [`Sweep] tuning, no pipeline override, no
-      specialization. *)
+      observability, no pipeline override, no specialization. *)
   val make :
     ?engine:Exec.engine -> ?threads:int -> ?binary:bool -> ?n:int ->
     ?st:Asap_tensor.Storage.t -> ?obs:Asap_obs.Sink.t ->
-    ?tune_mode:Tuning.mode -> ?pipeline:string -> ?specialize:bool ->
+    ?pipeline:string -> ?specialize:bool ->
     machine:Machine.t -> variant:Pipeline.variant -> unit -> t
 end
 

@@ -180,36 +180,6 @@ let shutdown p =
   Array.iter Domain.join p.workers;
   p.workers <- [||]
 
-(* --- Slice leasing --------------------------------------------------- *)
-
-(* A lease partitions a pool's worker budget among [shards] consumers
-   without splitting the domains themselves: each slice is the same pool
-   with a per-slice [jobs] cap, so shard s's builds use at most its
-   share of the helpers (plus the calling domain). Slices of one pool
-   must be DRAINED by a single caller (map_pool serialises concurrent
-   callers anyway); the win is a deterministic, documented budget per
-   shard rather than true concurrency between slices. *)
-
-type slice = { sl_pool : pool; sl_jobs : int }
-
-(** [lease p ~shards] partitions [pool_size p] helper domains into
-    [shards] slices: slice [i] gets [size/shards] helpers plus one of
-    the remainder for [i < size mod shards], plus the calling domain —
-    so [slice_jobs] is at least 1 and sums to [pool_size p + shards].
-    @raise Invalid_argument if [shards < 1]. *)
-let lease p ~shards =
-  if shards < 1 then invalid_arg "Par.lease: shards < 1";
-  let size = pool_size p in
-  let base = size / shards and rem = size mod shards in
-  Array.init shards (fun i ->
-      let helpers = base + if i < rem then 1 else 0 in
-      { sl_pool = p; sl_jobs = helpers + 1 })
-
-let slice_jobs s = s.sl_jobs
-
-(** [map_slice s f xs] is {!map_pool} bounded by the slice's budget. *)
-let map_slice s f xs = map_pool s.sl_pool ~jobs:s.sl_jobs f xs
-
 (* --- The process-global pool behind [Par.map] ----------------------- *)
 
 let global : pool option ref = ref None

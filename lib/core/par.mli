@@ -24,8 +24,8 @@ val map : jobs:int -> ('a -> 'b) -> 'a array -> 'b array
 
 (** {1 Explicit pools}
 
-    Long-lived components (the serve scheduler) that want control over
-    worker lifetime can own a pool instead of sharing the global one. *)
+    {!map} runs on a process-global pool; a caller that wants control
+    over worker lifetime can own a pool instead. *)
 
 (** A set of parked worker domains, created once and reused by every
     {!map_pool} call on it. *)
@@ -49,27 +49,3 @@ val map_pool : pool -> jobs:int -> ('a -> 'b) -> 'a array -> 'b array
 (** Joins every worker domain, waiting for an in-flight map to finish
     first. Idempotent. After shutdown the pool is empty and sequential. *)
 val shutdown : pool -> unit
-
-(** {1 Slice leasing}
-
-    A lease partitions a pool's worker {e budget} among several
-    consumers (the fleet's shards) without splitting the domains: each
-    slice is the pool with a per-slice [jobs] cap. Slices serialise on
-    the underlying pool like any other [map_pool] callers — the point
-    is a deterministic per-shard budget, not concurrency between
-    slices. *)
-
-type slice
-
-(** [lease p ~shards] splits [pool_size p] helpers into [shards]
-    slices: slice [i] gets [size/shards] helpers (+1 for
-    [i < size mod shards]) plus the calling domain, so every slice has
-    [slice_jobs >= 1]. @raise Invalid_argument if [shards < 1]. *)
-val lease : pool -> shards:int -> slice array
-
-(** The slice's participant budget (helpers + the calling domain). *)
-val slice_jobs : slice -> int
-
-(** [map_slice s f xs] is {!map_pool} on the slice's pool bounded by
-    its budget. *)
-val map_slice : slice -> ('a -> 'b) -> 'a array -> 'b array

@@ -120,16 +120,11 @@ let run (fn : func) : func * stats =
        | None -> keep)
     | Load _ | Dim _ -> keep
   in
-  let rec go_block blk = List.map go_stmt blk
-  and go_stmt = function
-    | Let (v, rv) -> Let (v, rewrite v rv)
-    | (Store _ | Prefetch _) as s -> s
-    | For f -> For { f with f_body = go_block f.f_body }
-    | While w ->
-      While { w with w_cond = go_block w.w_cond; w_body = go_block w.w_body }
-    | If (c, t, e) -> If (c, go_block t, go_block e)
+  let fold = function
+    | Let (v, rv) -> [ Let (v, rewrite v rv) ]
+    | s -> [ s ]
   in
-  let fn' = { fn with fn_body = go_block fn.fn_body } in
+  let fn' = { fn with fn_body = Rewrite.walk fold fn.fn_body } in
   (match Verify.check_result fn' with
    | Ok () -> ()
    | Error m -> invalid_arg ("fold: broke the IR: " ^ m));

@@ -1,9 +1,10 @@
 (* Loop-invariant code motion for pure value computations.
 
-   Hoists [Let]s whose rvalue is side-effect free (constants, arithmetic,
-   comparisons, selects, dims — not loads, which may alias stores) out of
-   for loops when every operand is defined outside the loop. Applied
-   bottom-up, so invariants bubble as far out as they can.
+   Hoists [Let]s whose rvalue is {!Rewrite.pure} (no loads, which may
+   alias stores; no integer div/rem, which would trap when hoisted out of
+   a zero-trip loop) out of for loops when every operand is defined
+   outside the loop. Applied bottom-up, so invariants bubble as far out
+   as they can.
 
    The sparsifier already places most invariants well; this pass exists for
    IR built by other means (hand-written tests, future front ends) and to
@@ -12,52 +13,30 @@
 
 open Ir
 
-let pure = function
-  | Const _ | Ibin _ | Fbin _ | Icmp _ | Select _ | Dim _ | Cast _ -> true
-  | Load _ -> false
-
-let operands = function
-  | Const _ | Dim _ -> []
-  | Ibin (_, a, b) | Fbin (_, a, b) | Icmp (_, a, b) -> [ a; b ]
-  | Select (a, b, c) -> [ a; b; c ]
-  | Load (_, i) -> [ i ]
-  | Cast (_, a) -> [ a ]
-
-(* Values defined inside a block (including region-local definitions). *)
-let rec defined_in_block acc (blk : block) =
-  List.fold_left defined_in_stmt acc blk
-
-and defined_in_stmt acc = function
-  | Let (v, _) -> v.vid :: acc
-  | Store _ | Prefetch _ -> acc
-  | For f ->
-    let acc = f.f_iv.vid :: acc in
-    let acc = List.fold_left (fun a ((x : value), _) -> x.vid :: a) acc f.f_carried in
-    let acc = defined_in_block acc f.f_body in
-    List.fold_left (fun a (x : value) -> x.vid :: a) acc f.f_results
-  | While w ->
-    let acc = List.fold_left (fun a ((x : value), _) -> x.vid :: a) acc w.w_carried in
-    let acc = defined_in_block acc w.w_cond in
-    let acc = defined_in_block acc w.w_body in
-    List.fold_left (fun a (x : value) -> x.vid :: a) acc w.w_results
-  | If (_, t, e) -> defined_in_block (defined_in_block acc t) e
-
 type stats = { hoisted : int }
 
 (** [run fn] returns the transformed function and hoist statistics. *)
 let run (fn : func) : func * stats =
   let hoisted = ref 0 in
-  (* Transform a block; returns (kept statements, hoistable statements)
-     where hoistable Lets are pure with no operand defined in [local]. *)
-  let rec transform_block (blk : block) : block =
-    List.concat_map transform_stmt blk
-  and transform_stmt (s : stmt) : stmt list =
-    match s with
-    | Let _ | Store _ | Prefetch _ -> [ s ]
+  (* [walk] is post-order: when [hoist] sees a loop, invariants of the
+     loops nested in it already sit at the top of its body, so each
+     climbs as far out as its operands allow. *)
+  let hoist = function
     | For f ->
-      let body = transform_block f.f_body in
-      let local = defined_in_stmt [] (For { f with f_body = body }) in
-      let is_local vid = List.exists (Int.equal vid) local in
+      (* What a top-level let of the body can read from inside the loop:
+         the induction variable, the carried arguments and earlier
+         top-level definitions (SSA scoping hides anything deeper). *)
+      let local = Hashtbl.create 16 in
+      let add (v : value) = Hashtbl.replace local v.vid () in
+      add f.f_iv;
+      List.iter (fun (arg, _) -> add arg) f.f_carried;
+      List.iter
+        (function
+          | Let (v, _) -> add v
+          | For g -> List.iter add g.f_results
+          | While w -> List.iter add w.w_results
+          | Store _ | Prefetch _ | If _ -> ())
+        f.f_body;
       (* Partition a prefix-closed set of hoistable Lets: a Let can move
          only if its operands are not defined by anything remaining in
          the loop, so iterate until a fixed point over the body order. *)
@@ -69,35 +48,29 @@ let run (fn : func) : func * stats =
           (function
             | Let (v, rv)
               when (not (Hashtbl.mem hoistable v.vid))
-                   && pure rv
+                   && Rewrite.pure rv
                    && List.for_all
                         (fun (o : value) ->
-                          (not (is_local o.vid)) || Hashtbl.mem hoistable o.vid)
-                        (operands rv) ->
+                          (not (Hashtbl.mem local o.vid))
+                          || Hashtbl.mem hoistable o.vid)
+                        (Rewrite.operands rv) ->
               Hashtbl.add hoistable v.vid ();
               changed := true
             | _ -> ())
-          body
+          f.f_body
       done;
       let moved, kept =
         List.partition
           (function
             | Let (v, _) -> Hashtbl.mem hoistable v.vid
             | _ -> false)
-          body
+          f.f_body
       in
       hoisted := !hoisted + List.length moved;
       moved @ [ For { f with f_body = kept } ]
-    | While w ->
-      (* While bodies re-evaluate conditions with carried values; keep the
-         transformation conservative and only recurse. *)
-      [ While
-          { w with w_cond = transform_block w.w_cond;
-                   w_body = transform_block w.w_body } ]
-    | If (c, t, e) -> [ If (c, transform_block t, transform_block e) ]
+    | s -> [ s ]
   in
-  let body = transform_block fn.fn_body in
-  let fn' = { fn with fn_body = body } in
+  let fn' = { fn with fn_body = Rewrite.walk hoist fn.fn_body } in
   (match Verify.check_result fn' with
    | Ok () -> ()
    | Error m -> invalid_arg ("licm: broke the IR: " ^ m));

@@ -1,9 +1,10 @@
 (** Loop-invariant code motion for pure value computations.
 
-    Hoists [Let]s whose rvalue is side-effect free out of for loops when
+    Hoists [Let]s whose rvalue is {!Rewrite.pure} out of for loops when
     every operand is defined outside the loop — the LLVM LICM equivalent
-    of the paper's compilation flow (§4.3). Loads are never moved (they
-    may alias stores). *)
+    of the paper's compilation flow (§4.3). Loads (which may alias
+    stores) and integer div/rem (which would trap when hoisted out of a
+    zero-trip loop) are never moved. *)
 
 open Ir
 

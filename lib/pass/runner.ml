@@ -126,10 +126,9 @@ let note (registry : Registry.t option) (name : string) (rewrites : int)
     Registry.add reg (Printf.sprintf "pass.%s.ns" name) ns
 
 let timed f =
-  let t0 = Unix.gettimeofday () in
+  let t0 = Monotonic_clock.now () in
   let r = f () in
-  let ns = int_of_float ((Unix.gettimeofday () -. t0) *. 1e9) in
-  (r, ns)
+  (r, Int64.to_int (Int64.sub (Monotonic_clock.now ()) t0))
 
 (* Run the Ir_pass tail over [fn]. *)
 let run_tail ?registry (rs : resolved) (fn : Asap_ir.Ir.func) :

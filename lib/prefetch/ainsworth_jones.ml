@@ -109,42 +109,33 @@ let run ?(cfg = default) (fn : Ir.func) : Ir.func * stats =
       c1 = Rewrite.fresh supply "aj_c1" Ir.Index }
   in
   let used_shared = ref false in
-  let rec go_block (blk : Ir.block) : Ir.block =
-    List.concat_map go_stmt blk
-  and go_stmt (s : Ir.stmt) : Ir.stmt list =
+  (* Post-order: a loop's body is already rewritten when [instrument]
+     sees the loop, so only loops with no nested for are scanned. *)
+  let instrument (s : Ir.stmt) : Ir.stmt list =
     match s with
-    | Ir.Let _ | Ir.Store _ | Ir.Prefetch _ -> [ s ]
-    | Ir.While w ->
-      [ Ir.While
-          { w with Ir.w_cond = go_block w.Ir.w_cond;
-                   w_body = go_block w.Ir.w_body } ]
-    | Ir.If (c, t, e) -> [ Ir.If (c, go_block t, go_block e) ]
-    | Ir.For fl ->
-      let fl = { fl with Ir.f_body = go_block fl.Ir.f_body } in
-      if Rewrite.contains_for fl.Ir.f_body then [ Ir.For fl ]
+    | Ir.For fl when not (Rewrite.contains_for fl.Ir.f_body) ->
+      incr scanned;
+      let ms =
+        List.filter_map
+          (fun (v, crd) ->
+            match targets_of fl v with
+            | [] -> None
+            | tgts -> Some (v, crd, tgts))
+          (candidates fl)
+      in
+      if ms = [] then [ s ]
       else begin
-        incr scanned;
-        let ms =
-          List.filter_map
-            (fun (v, crd) ->
-              match targets_of fl v with
-              | [] -> None
-              | tgts -> Some (v, crd, tgts))
-            (candidates fl)
-        in
-        if ms = [] then [ Ir.For fl ]
-        else begin
-          matched := !matched + List.length ms;
-          used_shared := true;
-          (* The segment-local bound hi - 1 is loop-invariant: LICM places
-             it just before the loop. *)
-          let bound = Rewrite.fresh supply "aj_bound" Ir.Index in
-          [ Ir.Let (bound, Ir.Ibin (Ir.Isub, fl.Ir.f_hi, sh.c1));
-            Ir.For (inject supply cfg sh fl bound ms) ]
-        end
+        matched := !matched + List.length ms;
+        used_shared := true;
+        (* The segment-local bound hi - 1 is loop-invariant: LICM places
+           it just before the loop. *)
+        let bound = Rewrite.fresh supply "aj_bound" Ir.Index in
+        [ Ir.Let (bound, Ir.Ibin (Ir.Isub, fl.Ir.f_hi, sh.c1));
+          Ir.For (inject supply cfg sh fl bound ms) ]
       end
+    | _ -> [ s ]
   in
-  let body = go_block fn.Ir.fn_body in
+  let body = Rewrite.walk instrument fn.Ir.fn_body in
   let body =
     if !used_shared then
       Ir.Let (sh.c2d, Ir.Const (Ir.Cidx (2 * cfg.distance)))

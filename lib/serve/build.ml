@@ -107,16 +107,15 @@ let build ?st:(prepack : Storage.t option) (req : Request.t) (coo : Coo.t) :
     | Some d -> Machine.cycles_to_ms machine d.Select.d_tune_cycles
   in
   let cfg =
-    Driver.Cfg.make ~engine:req.Request.engine
-      ~tune_mode:req.Request.tune_mode ?pipeline:req.Request.pipeline ?st
-      ~specialize:req.Request.specialize ~machine ~variant ()
+    Driver.Cfg.make ~engine:req.Request.engine ?pipeline:req.Request.pipeline
+      ?st ~specialize:req.Request.specialize ~machine ~variant ()
   in
-  let t0 = if req.Request.specialize then Some (Unix.gettimeofday ()) else None in
+  let t0 = Monotonic_clock.now () in
   let prep = Driver.Prep.make cfg (Request.spec req) coo in
   let spec_ns =
-    match t0 with
-    | None -> 0
-    | Some t0 -> int_of_float ((Unix.gettimeofday () -. t0) *. 1e9)
+    if req.Request.specialize then
+      Int64.to_int (Int64.sub (Monotonic_clock.now ()) t0)
+    else 0
   in
   let result = Driver.Prep.exec prep in
   let run_ms =

@@ -8,10 +8,8 @@
    domain pool — sparsify, prefetch-inject, pack, lay out, compile the
    bytecode, tune if asked, and run once cold. Results land in
    index-slotted arrays, so this pass is deterministic for any [jobs].
-   With more than one shard the keys are grouped by their home shard
-   (consistent hash of the fingerprint) and each group builds on its
-   {!Par.lease} slice of one persistent pool — a per-shard worker
-   budget over the same domains. Repeat fingerprints never rebuild:
+   All keys build in one map whatever the shard count, so every domain
+   stays busy until the last build. Repeat fingerprints never rebuild:
    this is the host-side half of the compile/tune cache. With the cache
    disabled ([cache_capacity = 0]) the memoisation is disabled too —
    every request builds its own entry, which is the honest baseline the
@@ -289,9 +287,8 @@ let run ?(trace : Chrome.t option) ?(updates : Request.Update.t list = [])
      fallback fingerprint of every deadline-carrying request — built
      eagerly so degradation never blocks); without, one per request.
      [built] keeps every entry in a deterministic order (sorted
-     fingerprints when caching — grouped by home shard for a fleet —
-     input order otherwise) so the tuning counters aggregated from them
-     are jobs-invariant. *)
+     fingerprints when caching, input order otherwise) so the tuning
+     counters aggregated from them are jobs-invariant. *)
   let entry_for, builds, built, pack_uses =
     if caching then begin
       (* Representative request per fingerprint: the first (by input
@@ -314,43 +311,8 @@ let run ?(trace : Chrome.t option) ?(updates : Request.Update.t list = [])
         Hashtbl.fold (fun k _ acc -> k :: acc) rep []
         |> List.sort String.compare |> Array.of_list
       in
-      let keys, entries =
-        if nshards = 1 then
-          ( keys,
-            Par.map ~jobs (fun key -> build_one (Hashtbl.find rep key)) keys )
-        else begin
-          (* Group the keys by home shard (each group stays sorted) and
-             build every group on its leased slice of one persistent
-             pool — shard i's builds use shard i's worker budget. *)
-          let groups = Array.make nshards [] in
-          Array.iter
-            (fun key ->
-              let s = Router.shard_of router key in
-              groups.(s) <- key :: groups.(s))
-            keys;
-          let groups =
-            Array.map (fun g -> Array.of_list (List.rev g)) groups
-          in
-          let build_group slice_map g =
-            slice_map (fun key -> build_one (Hashtbl.find rep key)) g
-          in
-          let per_shard =
-            if jobs > 1 then begin
-              let pool = Par.pool ~workers:(jobs - 1) in
-              let slices = Par.lease pool ~shards:nshards in
-              let r =
-                Array.mapi
-                  (fun s g -> build_group (Par.map_slice slices.(s)) g)
-                  groups
-              in
-              Par.shutdown pool;
-              r
-            end
-            else Array.map (build_group Array.map) groups
-          in
-          ( Array.concat (Array.to_list groups),
-            Array.concat (Array.to_list per_shard) )
-        end
+      let entries =
+        Par.map ~jobs (fun key -> build_one (Hashtbl.find rep key)) keys
       in
       let tbl = Hashtbl.create (Array.length keys) in
       Array.iteri (fun i key -> Hashtbl.add tbl key entries.(i)) keys;

@@ -6,8 +6,8 @@
     policy.
 
     Host parallelism only accelerates the build pass (entries are built
-    once per distinct fingerprint on {!Asap_core.Par} slices leased per
-    shard, results index-slotted); scheduling itself is a sequential
+    once per distinct fingerprint by one {!Asap_core.Par.map}, results
+    index-slotted); scheduling itself is a sequential
     discrete-event simulation in virtual time, so {!run} is a pure
     function of the request list and {!Config.t} — byte-identical
     records at any [jobs]. See DESIGN.md §3f for the router → shard →
@@ -66,7 +66,7 @@ type replayed = {
 (** [run ?trace ?updates config requests] replays the fleet:
     engine/tune-mode overrides from [config] are applied to every
     request first, each distinct fingerprint builds once
-    (host-parallel, per-shard {!Asap_core.Par.lease} slices), then the
+    (host-parallel, one {!Asap_core.Par.map} over every shard), then the
     sequential virtual-time loop routes, admits (quota, then queue
     limit), batches, steals and serves. [trace], if given, receives
     per-request spans on per-shard-server tracks and shed instants.

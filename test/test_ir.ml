@@ -161,19 +161,69 @@ let test_printer_unique_names () =
   (* The second loop's %x must have been renamed. *)
   check "renamed duplicate" true (Astring_contains.contains s "%x_")
 
-let test_rewrite_def_table_and_loads () =
+let test_rewrite_uses_and_legality () =
   let fn = sample_fn () in
-  let loads = Rewrite.loads fn in
-  check_int "one load" 1 (List.length loads);
-  let t = Rewrite.def_table fn in
-  let v, buf, _ = List.hd loads in
-  (match t.(v.Ir.vid) with
-   | Some (Ir.Load (b', _)) -> check_str "load buffer" "src" b'.Ir.bname
-   | _ -> Alcotest.fail "def table missing load");
+  (* Loop bounds and step, then load i, fadd x one, store i y. *)
+  let uses = ref 0 in
+  Rewrite.iter_uses (fun _ -> incr uses) fn.Ir.fn_body;
+  check_int "uses" 8 !uses;
+  let renamed =
+    Rewrite.map_uses
+      (fun v -> if v.Ir.vname = "n" then { v with Ir.vname = "m" } else v)
+      fn.Ir.fn_body
+  in
+  (match List.rev renamed with
+   | Ir.For f :: _ -> check_str "bound renamed" "m" f.Ir.f_hi.Ir.vname
+   | _ -> Alcotest.fail "unexpected shape");
+  check "has_loop" true (Rewrite.has_loop fn.Ir.fn_body);
   check "contains_for" true (Rewrite.contains_for fn.Ir.fn_body);
-  check "buffer name" true (buf.Ir.bname = "src")
+  (* A while loop is a loop, but not an Ainsworth & Jones inner loop. *)
+  let b = Builder.create () in
+  let n = Builder.scalar_param b "n" Ir.Index in
+  let dst = Builder.buf b "dst" Ir.EIdx32 in
+  let c0 = Builder.index b 0 in
+  let (_ : Ir.value list) =
+    Builder.while_ b [ ("k", Ir.Index, c0) ]
+      (fun args -> Builder.icmp b Ir.Ult (List.hd args) n)
+      (fun args ->
+        Builder.store b dst c0 (List.hd args);
+        [ Builder.iadd b (List.hd args) (Builder.index b 1) ])
+  in
+  let w = (Builder.finish b "w").Ir.fn_body in
+  check "while has_loop" true (Rewrite.has_loop w);
+  check "while not contains_for" false (Rewrite.contains_for w);
+  let x = { Ir.vid = 0; vname = "x"; vty = Ir.Index } in
+  check "pure add" true (Rewrite.pure (Ir.Ibin (Ir.Iadd, x, x)));
+  check "div traps" false (Rewrite.pure (Ir.Ibin (Ir.Idiv, x, x)));
+  check "rem traps" false (Rewrite.pure (Ir.Ibin (Ir.Irem, x, x)));
+  check_int "select operands" 3
+    (List.length (Rewrite.operands (Ir.Select (x, x, x))))
 
-let test_map_fors_innermost () =
+let test_rewrite_clone_and_walk () =
+  let fn = sample_fn () in
+  let f =
+    match List.rev fn.Ir.fn_body with
+    | Ir.For f :: _ -> f
+    | _ -> Alcotest.fail "no loop"
+  in
+  (* Clone the body with i bound to a new value: every definition gets a
+     fresh id past fn_nvalues, uses follow the substitution. *)
+  let s = Rewrite.supply fn in
+  let i' = Rewrite.fresh_like s f.Ir.f_iv in
+  let sub = Hashtbl.create 8 in
+  Hashtbl.replace sub f.Ir.f_iv.Ir.vid i';
+  let body = Rewrite.clone_block s sub f.Ir.f_body in
+  (match body with
+   | [ Ir.Let (x, Ir.Load (_, idx)); Ir.Let (y, _); Ir.Store (_, si, sv) ] ->
+     check "load reads i'" true (idx == i');
+     check "store index i'" true (si == i');
+     check "store value is the copy" true (sv == y);
+     check "fresh ids" true
+       (x.Ir.vid >= fn.Ir.fn_nvalues && y.Ir.vid = x.Ir.vid + 1)
+   | _ -> Alcotest.fail "unexpected clone");
+  check_int "supply advanced" (fn.Ir.fn_nvalues + 3)
+    (Rewrite.with_supply fn s).Ir.fn_nvalues;
+  (* walk is post-order: an inner loop is seen before its parent. *)
   let b = Builder.create () in
   let n = Builder.scalar_param b "n" Ir.Index in
   let dst = Builder.buf b "dst" Ir.EIdx32 in
@@ -182,17 +232,18 @@ let test_map_fors_innermost () =
       Builder.for0 b "j" c0 n (fun j ->
           let s = Builder.iadd b i j in
           Builder.store b dst j s));
-  let fn = Builder.finish b "nest" in
+  let nest = Builder.finish b "nest" in
   let seen = ref [] in
-  let (_ : Ir.func) =
-    Rewrite.map_fors
-      (fun ~innermost fl ->
-        seen := (fl.Ir.f_iv.Ir.vname, innermost) :: !seen;
-        fl)
-      fn
+  let (_ : Ir.block) =
+    Rewrite.walk
+      (fun st ->
+        (match st with
+         | Ir.For fl -> seen := fl.Ir.f_iv.Ir.vname :: !seen
+         | _ -> ());
+        [ st ])
+      nest.Ir.fn_body
   in
-  check "j innermost" true (List.assoc "j" !seen);
-  check "i not innermost" false (List.assoc "i" !seen)
+  check "inner first" true (List.rev !seen = [ "j"; "i" ])
 
 let test_counts () =
   let fn = sample_fn () in
@@ -226,18 +277,37 @@ let test_licm_hoists_invariant () =
   check "still verifies" true (Verify.check_result fn' = Ok ())
 
 let test_licm_leaves_loads () =
-  let b = Builder.create () in
-  let src = Builder.buf b "src" Ir.EF64 in
-  let dst = Builder.buf b "dst" Ir.EF64 in
-  let n = Builder.scalar_param b "n" Ir.Index in
-  let c0 = Builder.index b 0 in
-  Builder.for0 b "i" c0 n (fun i ->
-      (* src[0] is loop-invariant but loads may alias the store. *)
-      let x = Builder.load b src c0 in
-      Builder.store b dst i x);
-  let fn = Builder.finish b "f" in
-  let _, st = Licm.run fn in
-  check_int "loads stay" 0 st.Licm.hoisted
+  (* src[0] is loop-invariant but loads may alias the store. *)
+  let load_case () =
+    let b = Builder.create () in
+    let src = Builder.buf b "src" Ir.EF64 in
+    let dst = Builder.buf b "dst" Ir.EF64 in
+    let n = Builder.scalar_param b "n" Ir.Index in
+    let c0 = Builder.index b 0 in
+    Builder.for0 b "i" c0 n (fun i ->
+        let x = Builder.load b src c0 in
+        Builder.store b dst i x);
+    Builder.finish b "f"
+  in
+  (* p / z is loop-invariant, but with n = 0 and z = 0 the loop never
+     divides: hoisting it would trap where the original runs cleanly. *)
+  let div_case () =
+    let b = Builder.create () in
+    let dst = Builder.buf b "dst" Ir.EIdx32 in
+    let n = Builder.scalar_param b "n" Ir.Index in
+    let p = Builder.scalar_param b "p" Ir.Index in
+    let z = Builder.scalar_param b "z" Ir.Index in
+    let c0 = Builder.index b 0 in
+    Builder.for0 b "i" c0 n (fun i ->
+        let q = Builder.let_ b "q" Ir.Index (Ir.Ibin (Ir.Idiv, p, z)) in
+        Builder.store b dst i q);
+    Builder.finish b "f"
+  in
+  List.iter
+    (fun (name, mk) ->
+      let _, st = Licm.run (mk ()) in
+      check_int (name ^ " stays") 0 st.Licm.hoisted)
+    [ ("load", load_case); ("zero-trip div", div_case) ]
 
 let test_licm_chain () =
   (* A chain of invariants hoists together. *)
@@ -506,7 +576,8 @@ let suite =
     Alcotest.test_case "verify bad yield" `Quick test_verify_rejects_bad_yield;
     Alcotest.test_case "printer ops" `Quick test_printer_mentions_ops;
     Alcotest.test_case "printer unique names" `Quick test_printer_unique_names;
-    Alcotest.test_case "rewrite loads/defs" `Quick
-      test_rewrite_def_table_and_loads;
-    Alcotest.test_case "map_fors innermost" `Quick test_map_fors_innermost;
+    Alcotest.test_case "rewrite uses and legality tests" `Quick
+      test_rewrite_uses_and_legality;
+    Alcotest.test_case "rewrite clone and walk" `Quick
+      test_rewrite_clone_and_walk;
     Alcotest.test_case "counts" `Quick test_counts ]
